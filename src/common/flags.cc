@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -32,6 +33,16 @@ bool FlagParser::Parse(int argc, const char* const* argv) {
       flags_[body] = argv[++i];
     } else {
       flags_[body] = "true";
+    }
+  }
+  return true;
+}
+
+bool FlagParser::CheckKnown(std::span<const std::string_view> known) {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      error_ = "unknown flag --" + name;
+      return false;
     }
   }
   return true;

@@ -1,12 +1,16 @@
 // Minimal command-line flag parsing for the tools and examples.
 //
 // Supports --name=value, --name value, and bare --name for booleans.
-// Unknown flags are reported; positional arguments are collected in order.
+// Positional arguments are collected in order. A tool passes its list of
+// known flags to CheckKnown, so a misspelt flag is an error instead of a
+// silent run with the default.
 #ifndef FOODMATCH_COMMON_FLAGS_H_
 #define FOODMATCH_COMMON_FLAGS_H_
 
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fm {
@@ -15,6 +19,11 @@ class FlagParser {
  public:
   // Parses argv. Returns false (and fills error()) on malformed input.
   bool Parse(int argc, const char* const* argv);
+
+  // Returns false (and fills error() with "unknown flag --name") when a
+  // parsed flag is not in `known`. With several, names the first in
+  // alphabetical order.
+  bool CheckKnown(std::span<const std::string_view> known);
 
   bool HasFlag(const std::string& name) const;
 

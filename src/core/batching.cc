@@ -11,12 +11,13 @@
 namespace fm {
 
 Batch MakeBatchFromOrders(const DistanceOracle& oracle,
-                          std::vector<Order> orders, Seconds now) {
+                          std::vector<Order> orders, Seconds now,
+                          DurationMemo* memo) {
   PlanRequest request;
   request.start = kInvalidNode;  // free start
   request.start_time = now;
   request.to_pick = std::move(orders);
-  PlanResult planned = PlanOptimalRoute(oracle, request);
+  PlanResult planned = PlanOptimalRoute(oracle, request, memo);
 
   Batch batch;
   batch.orders = std::move(request.to_pick);
@@ -62,14 +63,24 @@ BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
   BatchingResult result;
   if (orders.empty()) return result;
 
+  // One memo per lane for this call only (see "Per-lane memo" in the header):
+  // shard s plans through memos[s]; the serial recomputation in the merge
+  // loop, with no job running, through memos[0].
+  std::vector<DurationMemo> memos(
+      static_cast<std::size_t>(pool != nullptr ? pool->num_threads() : 1));
+
   // Π(0): singleton batches (Alg. 1 line 2). Each batch is an independent
   // free-start plan writing slot i only, so the builds shard across lanes.
   std::vector<Batch> nodes(orders.size());
   {
     ScopedPhaseTimer timer(profile, "batching.singletons");
-    ParallelFor(pool, orders.size(), [&](std::size_t i) {
-      nodes[i] = MakeSingletonBatch(oracle, orders[i], now);
-    });
+    ParallelForShards(pool, orders.size(),
+                      [&](int shard, std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          nodes[i] = MakeBatchFromOrders(oracle, {orders[i]},
+                                                         now, &memos[shard]);
+                        }
+                      });
   }
   std::vector<bool> alive(nodes.size(), true);
   std::vector<std::uint32_t> stamp(nodes.size(), 0);
@@ -95,10 +106,12 @@ BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
   // Callers must pass (a, b) in canonical (lower index, higher index) order
   // so that recomputation reproduces bit-identical weights.
   const auto edge_weight = [&](const Batch& a, const Batch& b,
+                               DurationMemo& memo,
                                Batch* merged_out) -> Seconds {
     std::vector<Order> merged = a.orders;
     merged.insert(merged.end(), b.orders.begin(), b.orders.end());
-    Batch merged_batch = MakeBatchFromOrders(oracle, std::move(merged), now);
+    Batch merged_batch =
+        MakeBatchFromOrders(oracle, std::move(merged), now, &memo);
     if (merged_batch.cost == kInfiniteTime) return kInfiniteTime;
     const Seconds w = merged_batch.cost - a.cost - b.cost;
     *merged_out = std::move(merged_batch);
@@ -110,19 +123,24 @@ BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
 
   // Evaluates the Eq. 5 weight of every (lo, hi) pair in `pairs` across the
   // pool's lanes — each evaluation plans one merged route into a per-slot
-  // scratch Batch and writes only weights[p] — then pushes the surviving
-  // edges serially in ascending pair order. The heap's strict total order
-  // (weight, i, j) makes its contents independent of insertion order, so the
-  // pop sequence is bit-identical to the serial build for any lane count.
+  // scratch Batch through its shard's memo and writes only weights[p] —
+  // then pushes the surviving edges serially in ascending pair order. The
+  // heap's strict total order (weight, i, j) makes its contents independent
+  // of insertion order, so the pop sequence is bit-identical to the serial
+  // build for any lane count.
   const auto push_edges_parallel =
       [&](const std::vector<std::pair<std::size_t, std::size_t>>& pairs) {
         std::vector<Seconds> weights(pairs.size(), kInfiniteTime);
-        ParallelFor(pool, pairs.size(), [&](std::size_t p) {
-          Batch scratch;
-          weights[p] =
-              edge_weight(nodes[pairs[p].first], nodes[pairs[p].second],
-                          &scratch);
-        });
+        ParallelForShards(
+            pool, pairs.size(),
+            [&](int shard, std::size_t begin, std::size_t end) {
+              for (std::size_t p = begin; p < end; ++p) {
+                Batch scratch;
+                weights[p] = edge_weight(nodes[pairs[p].first],
+                                         nodes[pairs[p].second],
+                                         memos[shard], &scratch);
+              }
+            });
         for (std::size_t p = 0; p < pairs.size(); ++p) {
           if (weights[p] == kInfiniteTime || weights[p] > max_edge_weight) {
             continue;
@@ -176,7 +194,7 @@ BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
 
       // Merge π_i and π_j into a new node (lines 9–12).
       Batch merged;
-      const Seconds w = edge_weight(nodes[i], nodes[j], &merged);
+      const Seconds w = edge_weight(nodes[i], nodes[j], memos[0], &merged);
       if (w == kInfiniteTime) continue;
       FM_CHECK_EQ(top.weight, w);  // deterministic recomputation
 

@@ -51,9 +51,12 @@ struct BatchingResult {
 
 // Builds a batch from an arbitrary order set via the free-start optimal
 // plan (the simulated vehicle of §IV-B1 materializes at the plan's first
-// pickup). cost is kInfiniteTime when no feasible plan exists.
+// pickup). cost is kInfiniteTime when no feasible plan exists. A non-null
+// `memo` answers the plan's leg queries; the batch is bit-identical with or
+// without one (see DurationMemo).
 Batch MakeBatchFromOrders(const DistanceOracle& oracle,
-                          std::vector<Order> orders, Seconds now);
+                          std::vector<Order> orders, Seconds now,
+                          DurationMemo* memo = nullptr);
 
 // Builds a singleton batch for one order (free-start optimal plan).
 Batch MakeSingletonBatch(const DistanceOracle& oracle, const Order& order,
@@ -79,6 +82,14 @@ Batch MakeSingletonBatch(const DistanceOracle& oracle, const Order& order,
 /// the calling thread; the profiler exists to measure how much of the window
 /// budget it retains.
 ///
+/// Per-lane memo: the call owns one DurationMemo per pool lane. Shard s of
+/// every sharded loop plans through memo s, and the merge loop's serial
+/// recomputation of the popped edge through memo 0. The O(n²) plans share
+/// most of their legs, so most SP queries become table hits. A memo replays
+/// the oracle's own answer for a (u, v, slot) key, so no weight depends on
+/// which lane saw a key first. The memos are dropped when the call returns,
+/// so a long service does not accumulate every window's keys.
+///
 /// Thread safety: BatchOrders is a blocking call; `pool` must not be running
 /// another job. `profile`, when non-null, receives the wall-clock sub-phases
 /// "batching.singletons", "batching.order_graph" (initial W(0) fill), and
@@ -86,8 +97,9 @@ Batch MakeSingletonBatch(const DistanceOracle& oracle, const Order& order,
 /// weights); it is written only from the calling thread.
 ///
 /// Complexity: O(n²) edge-weight evaluations up front and O(n) per merge,
-/// each evaluation an optimal free-start plan (exhaustive within MAXO);
-/// heap operations add O(E log E). Wall-clock for the evaluation phases
+/// each evaluation an optimal free-start plan (exhaustive within MAXO) whose
+/// legs cost one memo probe each, plus one oracle query per distinct
+/// (u, v, slot) key a lane meets; heap operations add O(E log E). Wall-clock for the evaluation phases
 /// scales ~1/lanes; the merge loop's bookkeeping does not.
 BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
                            const std::vector<Order>& orders, Seconds now,

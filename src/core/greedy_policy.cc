@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/profiler.h"
 #include "routing/route_planner.h"
 
 namespace fm {
@@ -42,58 +43,63 @@ AssignmentDecision GreedyPolicy::Assign(
   const std::size_t m = vehicles.size();
   if (n == 0 || m == 0) return decision;
 
-  // Working copy of vehicle states: greedy mutates order sets as it assigns.
-  std::vector<VehicleSnapshot> state = vehicles;
+  // One phase covers the whole decision, so the profile accounts for all of
+  // Greedy's decision time.
+  {
+    ScopedPhaseTimer timer(&decision.profile, "greedy.assign");
+    // Working copy of vehicle states: greedy mutates order sets as it assigns.
+    std::vector<VehicleSnapshot> state = vehicles;
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // cost[o][v] = mCost(o, v); recomputed per column after each assignment.
-  std::vector<std::vector<double>> cost(n, std::vector<double>(m, kInf));
-  std::vector<bool> order_done(n, false);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    // cost[o][v] = mCost(o, v); recomputed per column after each assignment.
+    std::vector<std::vector<double>> cost(n, std::vector<double>(m, kInf));
+    std::vector<bool> order_done(n, false);
 
-  auto evaluate = [&](std::size_t o, std::size_t v) {
-    if (!Feasible(*oracle_, config_, unassigned[o], state[v], now)) {
-      cost[o][v] = kInf;
-      return;
-    }
-    ++decision.cost_evaluations;
-    const Seconds mc =
-        MarginalCost(*oracle_, state[v], now, {unassigned[o]});
-    cost[o][v] = (mc == kInfiniteTime || mc >= config_.rejection_penalty)
-                     ? kInf
-                     : mc;
-  };
+    auto evaluate = [&](std::size_t o, std::size_t v) {
+      if (!Feasible(*oracle_, config_, unassigned[o], state[v], now)) {
+        cost[o][v] = kInf;
+        return;
+      }
+      ++decision.cost_evaluations;
+      const Seconds mc =
+          MarginalCost(*oracle_, state[v], now, {unassigned[o]});
+      cost[o][v] = (mc == kInfiniteTime || mc >= config_.rejection_penalty)
+                       ? kInf
+                       : mc;
+    };
 
-  for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t v = 0; v < m; ++v) evaluate(o, v);
-  }
-
-  // Map from assigned vehicle index to its decision item (so multiple
-  // orders assigned to one vehicle emit separate single-order items, as the
-  // greedy algorithm assigns orders one at a time).
-  while (true) {
-    double best = kInf;
-    std::size_t best_o = 0;
-    std::size_t best_v = 0;
     for (std::size_t o = 0; o < n; ++o) {
-      if (order_done[o]) continue;
-      for (std::size_t v = 0; v < m; ++v) {
-        if (cost[o][v] < best) {
-          best = cost[o][v];
-          best_o = o;
-          best_v = v;
+      for (std::size_t v = 0; v < m; ++v) evaluate(o, v);
+    }
+
+    // Map from assigned vehicle index to its decision item (so multiple
+    // orders assigned to one vehicle emit separate single-order items, as the
+    // greedy algorithm assigns orders one at a time).
+    while (true) {
+      double best = kInf;
+      std::size_t best_o = 0;
+      std::size_t best_v = 0;
+      for (std::size_t o = 0; o < n; ++o) {
+        if (order_done[o]) continue;
+        for (std::size_t v = 0; v < m; ++v) {
+          if (cost[o][v] < best) {
+            best = cost[o][v];
+            best_o = o;
+            best_v = v;
+          }
         }
       }
-    }
-    if (best == kInf) break;  // no further feasible assignment
+      if (best == kInf) break;  // no further feasible assignment
 
-    order_done[best_o] = true;
-    state[best_v].unpicked.push_back(unassigned[best_o]);
-    decision.assignments.push_back(
-        {{unassigned[best_o]}, state[best_v].id});
+      order_done[best_o] = true;
+      state[best_v].unpicked.push_back(unassigned[best_o]);
+      decision.assignments.push_back(
+          {{unassigned[best_o]}, state[best_v].id});
 
-    // Re-evaluate the chosen vehicle's column for the remaining orders.
-    for (std::size_t o = 0; o < n; ++o) {
-      if (!order_done[o]) evaluate(o, best_v);
+      // Re-evaluate the chosen vehicle's column for the remaining orders.
+      for (std::size_t o = 0; o < n; ++o) {
+        if (!order_done[o]) evaluate(o, best_v);
+      }
     }
   }
   return decision;

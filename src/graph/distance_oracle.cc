@@ -1,5 +1,6 @@
 #include "graph/distance_oracle.h"
 
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -102,6 +103,37 @@ Seconds DistanceOracle::Duration(NodeId u, NodeId v,
   }
   FM_CHECK_MSG(false, "unknown oracle backend");
   return kInfiniteTime;
+}
+
+void DurationMemo::Clear() {
+  for (Slot& slot : slots_) slot.key = kEmptyKey;
+  size_ = 0;
+}
+
+void DurationMemo::Insert(std::uint64_t key, Seconds value) {
+  if (size_ >= kCap) {
+    Clear();
+  } else if (4 * (size_ + 1) > 3 * slots_.size()) {
+    Rehash(2 * slots_.size());
+  }
+  std::size_t i = Home(key);
+  while (slots_[i].key != kEmptyKey) i = (i + 1) & mask_;
+  slots_[i] = {key, value};
+  ++size_;
+}
+
+void DurationMemo::Rehash(std::size_t capacity) {
+  FM_CHECK((capacity & (capacity - 1)) == 0);
+  std::vector<Slot> old(capacity);
+  old.swap(slots_);
+  mask_ = capacity - 1;
+  shift_ = 64 - std::countr_zero(capacity);
+  for (const Slot& slot : old) {
+    if (slot.key == kEmptyKey) continue;
+    std::size_t i = Home(slot.key);
+    while (slots_[i].key != kEmptyKey) i = (i + 1) & mask_;
+    slots_[i] = slot;
+  }
 }
 
 }  // namespace fm

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/time.h"
 #include "common/types.h"
@@ -132,14 +133,27 @@ class DistanceOracle {
 /// purely an optimization. Because a query's answer depends on the time of
 /// day only through HourSlot(t), one entry per (u, v, slot) is exact.
 ///
+/// Storage is a flat open-addressing table: a power-of-two array of
+/// (key, duration) slots, probed linearly from a multiplicative (Fibonacci)
+/// hash of the 64-bit key. The all-ones key marks an empty slot; real keys
+/// are < num_nodes² · kSlotsPerDay, which stays below it for any network of
+/// fewer than 2^29 nodes. The table doubles before its load would pass 3/4,
+/// so a grown table is 3/8 to 3/4 full and an entry costs 21–43 bytes of
+/// 16-byte slots. The more common 1/2 bound would cost 32–64 bytes, more
+/// than a std::unordered_map node; peak memory is a benchmarked metric.
+/// When the table already holds `kCap` entries, the next miss clears it
+/// (capacity is kept), so long services stay bounded.
+///
 /// Thread safety: none. Callers in sharded loops keep one memo per shard
 /// (determinism is unaffected either way: hit or miss, the value returned
 /// is the oracle's).
 ///
-/// Complexity: O(1) expected per query; the table self-clears when it
-/// exceeds `kCap` entries so long services stay bounded.
+/// Complexity: O(1) expected per query (one hash multiply, a short linear
+/// probe); a growth step rehashes every entry once, amortized O(1).
 class DurationMemo {
  public:
+  DurationMemo() { Rehash(kMinCapacity); }
+
   Seconds Duration(const DistanceOracle& oracle, NodeId u, NodeId v,
                    Seconds time_of_day) {
     const std::uint64_t key =
@@ -147,27 +161,50 @@ class DurationMemo {
          static_cast<std::uint64_t>(v)) *
             kSlotsPerDay +
         static_cast<std::uint64_t>(HourSlot(time_of_day));
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++hits_;
-      return it->second;
+    for (std::size_t i = Home(key);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.key == key) {
+        ++hits_;
+        return slot.value;
+      }
+      if (slot.key == kEmptyKey) break;
     }
     ++misses_;
     const Seconds d = oracle.Duration(u, v, time_of_day);
-    if (map_.size() >= kCap) map_.clear();
-    map_.emplace(key, d);
+    Insert(key, d);
     return d;
   }
 
-  void Clear() { map_.clear(); }
-  std::size_t size() const { return map_.size(); }
+  /// Drops every entry; the table keeps its capacity.
+  void Clear();
+  std::size_t size() const { return size_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
  private:
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
+  struct Slot {
+    std::uint64_t key = kEmptyKey;
+    Seconds value = 0.0;
+  };
+
+  static constexpr std::size_t kMinCapacity = 1u << 10;
   static constexpr std::size_t kCap = 1u << 22;
 
-  std::unordered_map<std::uint64_t, Seconds> map_;
+  std::size_t Home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  // Stores a key known to be absent, growing or self-clearing first.
+  void Insert(std::uint64_t key, Seconds value);
+  // Reallocates to `capacity` slots (a power of two) and reinserts every
+  // entry.
+  void Rehash(std::size_t capacity);
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "core/batching.h"
 #include "graph/distance_oracle.h"
+#include "routing/route_planner.h"
 #include "tests/test_util.h"
 
 namespace fm {
@@ -258,6 +259,50 @@ TEST_F(BatchingTest, HigherEtaBatchesMore) {
   const auto r_low = BatchOrders(oracle_, low, orders, 0.0);
   const auto r_high = BatchOrders(oracle_, high, orders, 0.0);
   EXPECT_GE(r_low.batches.size(), r_high.batches.size());
+}
+
+// BatchOrders plans every route through per-lane duration memos. With the
+// decision time just before an hour boundary on a network whose slots
+// differ, plans span two slots, so a memo keyed on the wrong slot would show.
+// Every returned batch must equal the memo-free MakeBatchFromOrders.
+TEST(BatchingMemoTest, BatchesMatchMemoFreePlansAcrossSlotBoundary) {
+  Rng rng(15);
+  const RoadNetwork net =
+      testing::RandomConnectedNetwork(rng, 40, 120, /*time_varying=*/true);
+  DistanceOracle oracle(&net, OracleBackend::kHubLabels);
+  const Seconds now = 11.0 * 3600.0 - 90.0;
+  std::vector<Order> orders;
+  for (int i = 0; i < 28; ++i) {
+    orders.push_back(MakeOrder(i, static_cast<NodeId>(rng.UniformInt(40)),
+                               static_cast<NodeId>(rng.UniformInt(40)),
+                               now - rng.UniformRange(0, 120),
+                               rng.UniformRange(0, 240)));
+  }
+  Config config;
+  config.batching_cutoff = 600.0;
+  config.Validate();
+
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    const BatchingResult result =
+        BatchOrders(oracle, config, orders, now, &pool);
+    EXPECT_GT(result.merges, 0) << threads << " threads";
+    bool crosses_boundary = false;
+    for (const Batch& batch : result.batches) {
+      const Batch fresh = MakeBatchFromOrders(oracle, batch.orders, now);
+      EXPECT_EQ(batch.cost, fresh.cost);  // exact, not NEAR
+      EXPECT_EQ(batch.first_pickup, fresh.first_pickup);
+      EXPECT_EQ(batch.plan.stops, fresh.plan.stops);
+      if (batch.cost == kInfiniteTime) continue;
+      PlanRequest request;
+      request.start = kInvalidNode;
+      request.start_time = now;
+      request.to_pick = batch.orders;
+      const PlanResult walked = EvaluatePlan(oracle, request, batch.plan);
+      if (walked.completion_time > 11.0 * 3600.0) crosses_boundary = true;
+    }
+    EXPECT_TRUE(crosses_boundary) << "no plan spans the hour boundary";
+  }
 }
 
 }  // namespace

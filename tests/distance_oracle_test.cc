@@ -1,4 +1,7 @@
+#include <set>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +158,107 @@ TEST(DistanceOracleTest, DijkstraCacheIsConsistent) {
   const Seconds second = oracle.Duration(3, 17, 1000.0);
   EXPECT_DOUBLE_EQ(first, second);
   EXPECT_DOUBLE_EQ(first, PointToPointTime(net, 3, 17, 0));
+}
+
+// A DurationMemo must replay the oracle's own answer bit for bit, including
+// at hour-slot boundaries and for times outside one day (the slot, not the
+// raw time, is part of the key), and must keep every entry across growth.
+TEST(DurationMemoTest, ReplaysOracleExactlyAcrossSlotsAndGrowth) {
+  Rng rng(90);
+  RoadNetwork net = testing::RandomConnectedNetwork(rng, 60, 240,
+                                                    /*time_varying=*/true);
+  DistanceOracle oracle(&net, OracleBackend::kHubLabels);
+  oracle.WarmSlots(0, kSlotsPerDay - 1);
+
+  // Every answer comes back identical: first as a miss, then as a hit.
+  struct Query {
+    NodeId u;
+    NodeId v;
+    Seconds t;
+  };
+  const Seconds kOffsets[] = {-1.0, -1e-6, 0.0, 1e-6, 1.0, 1799.5};
+  std::vector<Query> queries;
+  for (int i = 0; i < 24000; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(net.num_nodes()));
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(net.num_nodes()));
+    const int hour = static_cast<int>(rng.UniformInt(kSlotsPerDay + 2)) - 1;
+    const Seconds t = hour * 3600.0 + kOffsets[rng.UniformInt(6)];
+    queries.push_back({u, v, t});
+  }
+
+  DurationMemo memo;
+  std::set<std::tuple<NodeId, NodeId, int>> keys;
+  std::uint64_t expected_hits = 0;
+  const std::uint64_t oracle_queries_before = oracle.query_count();
+  for (const Query& q : queries) {
+    const bool seen = !keys.insert({q.u, q.v, HourSlot(q.t)}).second;
+    if (seen) ++expected_hits;
+    const Seconds reference = oracle.Duration(q.u, q.v, q.t);
+    EXPECT_EQ(memo.Duration(oracle, q.u, q.v, q.t), reference)
+        << q.u << "->" << q.v << " at " << q.t;
+  }
+  EXPECT_EQ(memo.size(), keys.size());
+  EXPECT_EQ(memo.misses(), keys.size());
+  EXPECT_EQ(memo.hits(), expected_hits);
+  // Each miss asked the oracle once, on top of the reference queries.
+  EXPECT_EQ(oracle.query_count() - oracle_queries_before,
+            queries.size() + keys.size());
+  // Well past the initial capacity, so the table rehashed several times.
+  ASSERT_GT(keys.size(), 16000u);
+
+  // Every entry survived the rehashes: replaying all queries is all hits.
+  const std::uint64_t misses = memo.misses();
+  for (const Query& q : queries) {
+    EXPECT_EQ(memo.Duration(oracle, q.u, q.v, q.t),
+              oracle.Duration(q.u, q.v, q.t));
+  }
+  EXPECT_EQ(memo.misses(), misses);
+  EXPECT_EQ(memo.hits(), expected_hits + queries.size());
+
+  // Clear drops every entry but keeps the counters; the next query misses.
+  memo.Clear();
+  EXPECT_EQ(memo.size(), 0u);
+  const Query& q = queries.front();
+  EXPECT_EQ(memo.Duration(oracle, q.u, q.v, q.t),
+            oracle.Duration(q.u, q.v, q.t));
+  EXPECT_EQ(memo.misses(), misses + 1);
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_EQ(memo.Duration(oracle, q.u, q.v, q.t),
+            oracle.Duration(q.u, q.v, q.t));
+  EXPECT_EQ(memo.hits(), expected_hits + queries.size() + 1);
+}
+
+// The slot is part of the key: the same (u, v) on either side of an hour
+// boundary is two entries with the two slots' different answers.
+TEST(DurationMemoTest, SlotBoundarySplitsKeys) {
+  Rng rng(91);
+  RoadNetwork net = testing::RandomConnectedNetwork(rng, 20, 40,
+                                                    /*time_varying=*/true);
+  DistanceOracle oracle(&net, OracleBackend::kHubLabels);
+  const Seconds boundary = 11.0 * 3600.0;
+  NodeId u = 0;
+  NodeId v = 0;
+  for (NodeId a = 0; a < 20 && u == v; ++a) {
+    for (NodeId b = 0; b < 20; ++b) {
+      if (a != b && oracle.Duration(a, b, boundary - 1.0) !=
+                        oracle.Duration(a, b, boundary)) {
+        u = a;
+        v = b;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(u, v) << "test network has no slot-dependent pair";
+  DurationMemo memo;
+  const Seconds before = memo.Duration(oracle, u, v, boundary - 1.0);
+  const Seconds after = memo.Duration(oracle, u, v, boundary);
+  EXPECT_EQ(before, oracle.Duration(u, v, boundary - 1.0));
+  EXPECT_EQ(after, oracle.Duration(u, v, boundary));
+  EXPECT_NE(before, after);
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.misses(), 2u);
+  EXPECT_EQ(memo.Duration(oracle, u, v, boundary - 3599.0), before);
+  EXPECT_EQ(memo.hits(), 1u);
 }
 
 }  // namespace

@@ -86,6 +86,20 @@ TEST_F(PoliciesTest, GreedyAssignsAllWhenCapacityAllows) {
   EXPECT_EQ(d.assignments.size(), 3u);  // MAXO=3 on one vehicle
 }
 
+// Greedy's decision time is covered by its phase profile, like every other
+// policy's (the profile is the only per-phase view of decision time).
+TEST_F(PoliciesTest, GreedyRecordsItsDecisionPhase) {
+  GreedyPolicy greedy(&oracle_, config_);
+  std::vector<Order> orders = {MakeOrder(0, 5, 6), MakeOrder(1, 7, 8)};
+  std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 5),
+                                           MakeVehicle(1, 9)};
+  auto d = greedy.Assign(orders, vehicles, 0.0);
+  ASSERT_FALSE(d.profile.empty());
+  ASSERT_EQ(d.profile.phases().count("greedy.assign"), 1u);
+  EXPECT_EQ(d.profile.phases().at("greedy.assign").calls, 1u);
+  EXPECT_GE(d.profile.phases().at("greedy.assign").seconds, 0.0);
+}
+
 TEST_F(PoliciesTest, GreedyRespectsMaxOrders) {
   Config config = config_;
   config.max_orders_per_vehicle = 1;

@@ -28,6 +28,8 @@
 //           [--log=PATH] [--write-log=PATH] [--out=PATH] [--profile]
 //           [--trace-out=PATH] [--metrics-out=PATH] [--metrics-every=S]
 //           [--verify]
+//
+// Any other flag is an error (exit 2) naming the flag.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -37,6 +39,7 @@
 
 #include "common/flags.h"
 #include "foodmatch/foodmatch.h"
+#include "known_flags.h"
 
 namespace fm {
 namespace {
@@ -166,8 +169,8 @@ CoreBundle MakeCore(const RoadNetwork& network, const DistanceOracle& oracle,
 
 int Main(int argc, char** argv) {
   FlagParser flags;
-  if (!flags.Parse(argc, argv)) {
-    std::fprintf(stderr, "error: %s\n", flags.error().c_str());
+  if (!flags.Parse(argc, argv) || !flags.CheckKnown(kFmserveFlags)) {
+    std::fprintf(stderr, "error: %s (see --help)\n", flags.error().c_str());
     return 2;
   }
   if (flags.HasFlag("help")) {

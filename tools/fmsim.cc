@@ -11,7 +11,7 @@
 //          [--no-prestage] [--no-incremental] [--verify-no-incremental]
 //          [--wal-dir=PATH] [--snapshot-every=N] [--verify-restore]
 //          [--profile] [--profile-out=PATH] [--trace-out=PATH]
-//          [--trace-prefix=PATH] [--geojson=PATH] [--quiet]
+//          [--trace-prefix=PATH] [--geojson=PATH] [--per-slot]
 //
 // With --scenario=NAME the tool switches to stress mode: a named scenario
 // (src/stress/) deterministically generates a surge/burst/shift-churn event
@@ -19,16 +19,25 @@
 // or through the streaming intake with --stream), and reports tail
 // latencies plus the WindowResult fingerprint:
 //   fmsim --scenario=NAME [--stress-seed=N] [--scenario-log=PATH]
-//         [--producers=P] [--verify] [...shared flags above]
+//         [--producers=P] [--verify] [--city] [--scale] [--start] [--end]
+//         [--day] [--delta] [--threads] [--shards] [--intake-capacity]
+//         [--no-prestage] [--no-incremental] [--policy] [--k] [--stream]
+//         [--trace-out]
+//
+// Any other flag is an error (exit 2) naming the flag; the accepted lists
+// are in known_flags.h.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/flags.h"
 #include "foodmatch/foodmatch.h"
+#include "known_flags.h"
 
 namespace fm {
 namespace {
@@ -168,7 +177,9 @@ void PrintUsage() {
       "  --verify               with --scenario: replay the same stream\n"
       "                         synchronously on a fresh core and require\n"
       "                         bit-identical window results\n"
-      "  --help                 this text\n");
+      "  --help                 this text\n\n"
+      "Any other flag is an error, and so is a day-replay flag (such as\n"
+      "--profile) given with --scenario.\n");
 }
 
 // ---- Stress mode (--scenario) ----
@@ -385,11 +396,19 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", flags.error().c_str());
     return 2;
   }
+  const bool scenario = flags.HasFlag("scenario");
+  if (!flags.CheckKnown(
+          scenario ? std::span<const std::string_view>(kFmsimScenarioFlags)
+                   : std::span<const std::string_view>(kFmsimFlags))) {
+    std::fprintf(stderr, "error: %s%s (see --help)\n", flags.error().c_str(),
+                 scenario ? " with --scenario" : "");
+    return 2;
+  }
   if (flags.HasFlag("help")) {
     PrintUsage();
     return 0;
   }
-  if (flags.HasFlag("scenario")) return RunScenario(flags);
+  if (scenario) return RunScenario(flags);
 
   const std::string city = flags.GetString("city", "A");
   const double scale = flags.GetDouble("scale", 80.0);
