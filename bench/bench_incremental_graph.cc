@@ -1,25 +1,25 @@
-// Measures the incremental FOODGRAPH maintenance (core/edge_cache.h) against
-// the from-scratch build it replaces, and hard-gates its bit-identity.
+// Measures the FOODGRAPH build with its EdgeCache (core/edge_cache.h) kept
+// across windows against the same build on a cold cache every window, and
+// hard-gates their bit-identity.
 //
-// BENCH_profile.json pins `graph.build` at ~88–92% of FoodMatch/KM decision
-// time; the EdgeCache attacks exactly that share by replaying recorded
-// best-first search footprints, reusing provably unchanged pair weights and
-// memoized SP legs, and geo-pruning unreachable vehicles. This bench runs
-// each city/policy twice — incremental off, then on — and
+// The graph phases dominate FoodMatch/KM decision time (BENCH_profile.json);
+// a persistent cache cuts that share by replaying recorded best-first search
+// footprints and memoized SP legs. This bench runs each city/policy with the
+// cache cold, then persistent, and
 //
 //   1. FAILS (exit 1) unless the two SimulationResults are bit-identical,
-//      and again unless the 4-lane incremental run matches the 1-lane one —
+//      and again unless the 4-lane persistent run matches the 1-lane one —
 //      the cache may only ever change the clock, never a number;
-//   2. reports the graph-phase share before/after plus the cache's hit/replay
-//      counters, written to BENCH_incremental.json (--out=PATH) so CI archives
-//      the trajectory of the graph share next to BENCH_profile.json.
+//   2. reports the graph-phase share of each run plus the cache's replay and
+//      memo counters, written to BENCH_incremental.json (--out=PATH) so CI
+//      archives the trajectory of the graph share next to BENCH_profile.json.
 //
 // Comparability with BENCH_profile.json: the runs use the same 11h–14h
 // horizon as the profiled bench_fig6fgh rows, and `graph_share` is computed
 // the same way — graph-phase seconds over the phase profile's total (which
 // includes rebuild.plans), not over decision_seconds_total. Each case starts
-// with one untimed warm-up run so the from-scratch baseline is not billed
-// for the lazily warmed oracle caches the later passes then get for free.
+// with one untimed warm-up run so the cold-cache baseline is not billed for
+// the lazily warmed oracle caches the later passes then get for free.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -90,7 +90,7 @@ std::uint64_t FingerprintResult(const SimulationResult& r) {
 struct RunOutcome {
   SimulationResult result;
   std::uint64_t fingerprint = 0;
-  EdgeCacheStats cache;  // zeros for from-scratch runs
+  EdgeCacheStats cache;  // zeros for cold-cache runs
   bool has_cache = false;
 };
 
@@ -126,21 +126,20 @@ RunOutcome RunSpecOnce(Lab& lab, const RunSpec& spec) {
 
 struct ReportEntry {
   std::string label;
-  std::string mode;  // "scratch" or "incremental"
+  std::string mode;  // "cold" or "persistent" EdgeCache
   int threads = 1;
   std::uint64_t windows = 0;
   double graph_seconds = 0.0;    // sum of the graph.* profile phases
   double profile_seconds = 0.0;  // phase-profile total (BENCH_profile basis)
   double decision_seconds = 0.0;
   double graph_share = 0.0;      // graph_seconds / profile_seconds
-  double graph_speedup = 1.0;    // scratch graph seconds / this run's
+  double graph_speedup = 1.0;    // cold-cache graph seconds / this run's
   std::uint64_t fingerprint = 0;
   EdgeCacheStats cache;
   bool has_cache = false;
 };
 
-// Graph-phase seconds of one run: `graph.build` from-scratch,
-// `graph.invalidate` + `graph.prune` + `graph.delta` incrementally.
+// Graph-phase seconds of one run: `graph.prepare` + `graph.delta`.
 double GraphPhaseSeconds(const PhaseProfile& phases) {
   double total = 0.0;
   for (const auto& [name, stat] : phases.Ranked()) {
@@ -151,7 +150,7 @@ double GraphPhaseSeconds(const PhaseProfile& phases) {
 
 bool WriteReport(const std::string& path,
                  const std::vector<ReportEntry>& entries) {
-  BenchJsonDoc doc("foodmatch-incremental-graph-v1",
+  BenchJsonDoc doc("foodmatch-incremental-graph-v2",
                    "bench_incremental_graph");
   for (const ReportEntry& e : entries) {
     std::string entry = StrFormat(
@@ -170,25 +169,14 @@ bool WriteReport(const std::string& path,
       const EdgeCacheStats& c = e.cache;
       entry += StrFormat(
           ",\n      \"cache\": {\n"
-          "        \"pair_hits\": %llu, \"pair_misses\": %llu,\n"
           "        \"footprint_replays\": %llu, \"footprint_resumes\": %llu,\n"
           "        \"footprint_rebuilds\": %llu,\n"
-          "        \"pruned_vehicles\": %llu, \"pruned_pairs\": %llu,\n"
-          "        \"epoch_bumps\": %llu, \"retirements\": %llu,\n"
-          "        \"invalidated_vehicles\": %llu,\n"
           "        \"duration_memo_hits\": %llu,\n"
           "        \"duration_memo_misses\": %llu\n"
           "      }",
-          static_cast<unsigned long long>(c.pair_hits),
-          static_cast<unsigned long long>(c.pair_misses),
           static_cast<unsigned long long>(c.footprint_replays),
           static_cast<unsigned long long>(c.footprint_resumes),
           static_cast<unsigned long long>(c.footprint_rebuilds),
-          static_cast<unsigned long long>(c.pruned_vehicles),
-          static_cast<unsigned long long>(c.pruned_pairs),
-          static_cast<unsigned long long>(c.epoch_bumps),
-          static_cast<unsigned long long>(c.retirements),
-          static_cast<unsigned long long>(c.invalidated_vehicles),
           static_cast<unsigned long long>(c.duration_memo_hits),
           static_cast<unsigned long long>(c.duration_memo_misses));
     }
@@ -206,9 +194,9 @@ int Main(int argc, char** argv) {
   }
   const std::string out_path = flags.GetString("out", "BENCH_incremental.json");
   PrintBanner(
-      "Incremental FOODGRAPH maintenance — graph share & bit-identity gate",
-      "graph.build dominates decision time; the EdgeCache must cut it "
-      "without moving a single number");
+      "Persistent FOODGRAPH EdgeCache — graph share & bit-identity gate",
+      "the graph phases dominate decision time; keeping the EdgeCache "
+      "across windows must cut them without moving a single number");
 
   struct Case {
     CityProfile profile;
@@ -224,49 +212,49 @@ int Main(int argc, char** argv) {
   std::vector<ReportEntry> entries;
   TablePrinter table({"City/Policy", "mode", "threads", "graph(s)",
                       "decision(s)", "graph-share", "graph-speedup",
-                      "pair-hit%", "replays"});
+                      "memo-hit%", "replays"});
   for (const Case& c : cases) {
     const std::string label = c.profile.name + "/" + PolicyName(c.kind);
     RunSpec spec;
     spec.profile = c.profile;
     spec.kind = c.kind;
     // The exact horizon the BENCH_profile.json rows were profiled on, so the
-    // shares below are comparable to the committed graph.build anchor.
+    // shares below are comparable to the committed graph-phase anchor.
     spec.start_time = 11.0 * 3600.0;
     spec.end_time = 14.0 * 3600.0;
     spec.measure_wall_clock = true;
 
-    // Pass 0 (untimed): warm the lab's shared oracle caches so the scratch
+    // Pass 0 (untimed): warm the lab's shared oracle caches so the cold
     // baseline is not billed for one-time lazy warm-up the later passes
     // would inherit for free.
     spec.config.incremental_graph = false;
     spec.config.threads = 1;
     (void)RunSpecOnce(lab, spec);
 
-    // Pass 1: from-scratch reference (the seed path).
-    const RunOutcome scratch = RunSpecOnce(lab, spec);
+    // Pass 1: cold-cache reference.
+    const RunOutcome cold = RunSpecOnce(lab, spec);
 
-    // Pass 2: incremental, 1 lane. Pass 3: incremental, 4 lanes.
+    // Pass 2: persistent cache, 1 lane. Pass 3: persistent cache, 4 lanes.
     spec.config.incremental_graph = true;
-    const RunOutcome inc1 = RunSpecOnce(lab, spec);
+    const RunOutcome kept1 = RunSpecOnce(lab, spec);
     spec.config.threads = 4;
-    const RunOutcome inc4 = RunSpecOnce(lab, spec);
+    const RunOutcome kept4 = RunSpecOnce(lab, spec);
 
     // The hard gate: identical results, or the cache is wrong.
-    if (inc1.fingerprint != scratch.fingerprint ||
-        inc4.fingerprint != scratch.fingerprint) {
+    if (kept1.fingerprint != cold.fingerprint ||
+        kept4.fingerprint != cold.fingerprint) {
       std::fprintf(stderr,
-                   "BIT-IDENTITY VIOLATION (%s): scratch %016llx, "
-                   "incremental@1 %016llx, incremental@4 %016llx\n",
+                   "BIT-IDENTITY VIOLATION (%s): cold %016llx, "
+                   "persistent@1 %016llx, persistent@4 %016llx\n",
                    label.c_str(),
-                   static_cast<unsigned long long>(scratch.fingerprint),
-                   static_cast<unsigned long long>(inc1.fingerprint),
-                   static_cast<unsigned long long>(inc4.fingerprint));
+                   static_cast<unsigned long long>(cold.fingerprint),
+                   static_cast<unsigned long long>(kept1.fingerprint),
+                   static_cast<unsigned long long>(kept4.fingerprint));
       return 1;
     }
 
     const auto add = [&](const char* mode, int threads, const RunOutcome& run,
-                         double scratch_graph) {
+                         double cold_graph) {
       const Metrics& m = run.result.metrics;
       ReportEntry e;
       e.label = label;
@@ -279,31 +267,33 @@ int Main(int argc, char** argv) {
       e.graph_share =
           e.profile_seconds > 0.0 ? e.graph_seconds / e.profile_seconds : 0.0;
       e.graph_speedup =
-          e.graph_seconds > 0.0 ? scratch_graph / e.graph_seconds : 1.0;
+          e.graph_seconds > 0.0 ? cold_graph / e.graph_seconds : 1.0;
       e.fingerprint = run.fingerprint;
       e.cache = run.cache;
       e.has_cache = run.has_cache;
-      const std::uint64_t lookups = e.cache.pair_hits + e.cache.pair_misses;
+      const std::uint64_t lookups =
+          e.cache.duration_memo_hits + e.cache.duration_memo_misses;
       table.AddRow(
           {label, mode, Fmt(threads, 0), Fmt(e.graph_seconds, 3),
            Fmt(e.decision_seconds, 3), FmtPercent(100.0 * e.graph_share),
            Fmt(e.graph_speedup, 2) + "x",
            run.has_cache && lookups > 0
-               ? FmtPercent(100.0 * static_cast<double>(e.cache.pair_hits) /
-                            static_cast<double>(lookups))
+               ? FmtPercent(
+                     100.0 * static_cast<double>(e.cache.duration_memo_hits) /
+                     static_cast<double>(lookups))
                : "-",
            run.has_cache ? Fmt(static_cast<double>(e.cache.footprint_replays),
                                0)
                          : "-"});
       entries.push_back(std::move(e));
     };
-    const double scratch_graph =
-        GraphPhaseSeconds(scratch.result.metrics.phases);
-    add("scratch", 1, scratch, scratch_graph);
-    add("incremental", 1, inc1, scratch_graph);
-    add("incremental", 4, inc4, scratch_graph);
+    const double cold_graph =
+        GraphPhaseSeconds(cold.result.metrics.phases);
+    add("cold", 1, cold, cold_graph);
+    add("persistent", 1, kept1, cold_graph);
+    add("persistent", 4, kept4, cold_graph);
     std::printf("%s: bit-identity gate passed (%016llx)\n", label.c_str(),
-                static_cast<unsigned long long>(scratch.fingerprint));
+                static_cast<unsigned long long>(cold.fingerprint));
   }
   std::printf("\n");
   table.Print();

@@ -71,9 +71,10 @@ class AssignmentPolicy {
   // whenever a vehicle's assignment-relevant state changes (orders added,
   // picked up, delivered, stripped by reshuffle, plan/position committed) or
   // the vehicle leaves the fleet. Policies that cache per-vehicle state
-  // (core/edge_cache.h) use them for eager invalidation; the defaults are
-  // no-ops. Only advisory for correctness — caching policies must also
-  // validate against the snapshots Assign receives.
+  // use them to drop it early (MatchingPolicy frees a retired vehicle's
+  // EdgeCache entry); the defaults are no-ops. Only advisory for
+  // correctness — caching policies must also validate against the
+  // snapshots Assign receives.
   virtual void OnVehicleChanged(VehicleId /*vehicle*/) {}
   virtual void OnVehicleRetired(VehicleId /*vehicle*/) {}
 };

@@ -122,9 +122,9 @@ struct WindowResult {
 // original. Captured by snapshots (durability/snapshot.h) and compared by
 // the crash-recovery gates. Deliberately excludes derived state — the
 // vehicle index is rebuilt on restore, the snapshot scratch is repopulated
-// at the next window, and policy caches (e.g. the EdgeCache) rebuild from
-// scratch, which is bit-neutral by the incremental-graph equivalence
-// contract (core/edge_cache.h).
+// at the next window, and policy caches (e.g. the EdgeCache) start cold,
+// which is bit-neutral: a cold EdgeCache builds the same FOODGRAPH as a
+// persistent one (core/edge_cache.h).
 struct EngineResidentState {
   struct VehicleEntry {
     VehicleSnapshot snapshot;

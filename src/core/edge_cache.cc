@@ -2,28 +2,7 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-#include "common/time.h"
-
 namespace fm {
-namespace {
-
-// Bitwise time-invariance: every edge carries the same weight in all slots.
-// O(E · 24), run once at cache construction.
-bool NetworkTimeInvariant(const DistanceOracle& oracle) {
-  if (oracle.backend() == OracleBackend::kHaversine) return true;
-  const RoadNetwork& net = oracle.network();
-  for (std::size_t e = 0; e < net.num_edges(); ++e) {
-    const EdgeId edge = static_cast<EdgeId>(e);
-    const Seconds first = net.EdgeTime(edge, 0);
-    for (int slot = 1; slot < kSlotsPerDay; ++slot) {
-      if (net.EdgeTime(edge, slot) != first) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 void SearchFootprint::Reset(NodeId new_source, NodeId new_dest, int new_slot) {
   source = new_source;
@@ -33,32 +12,13 @@ void SearchFootprint::Reset(NodeId new_source, NodeId new_dest, int new_slot) {
   visits.clear();
   queue.clear();
   labels.clear();
-  // Seed exactly like the from-scratch search: the source labelled at α = 0,
-  // β = 0, alone on the frontier (a one-element array is trivially a heap).
+  // Seed the search: the source labelled at α = 0, β = 0, alone on the
+  // frontier (a one-element array is trivially a heap).
   labels.push_back({source, 0.0, 0.0});
   queue.push_back({0.0, source});
 }
 
-EdgeCache::EdgeCache(const DistanceOracle* oracle, const Config& config)
-    : oracle_(oracle), config_(config) {
-  FM_CHECK(oracle_ != nullptr);
-  time_invariant_ = NetworkTimeInvariant(*oracle_);
-}
-
-void EdgeCache::OnVehicleChanged(VehicleId vehicle) {
-  ++stats_.epoch_bumps;
-  auto it = entries_.find(vehicle);
-  if (it == entries_.end()) return;
-  VehicleCacheEntry& entry = *it->second;
-  ++entry.epoch;
-  entry.pairs.clear();
-  entry.has_key = false;
-  // The footprint stays: its validity key (source, dest, slot) is checked
-  // at use time and does not depend on the vehicle's order set.
-}
-
 void EdgeCache::OnVehicleRetired(VehicleId vehicle) {
-  ++stats_.retirements;
   entries_.erase(vehicle);
 }
 
@@ -70,15 +30,6 @@ std::vector<VehicleCacheEntry*> EdgeCache::BeginWindow(
     auto [it, inserted] = entries_.try_emplace(vehicles[j].id);
     if (inserted) it->second = std::make_unique<VehicleCacheEntry>();
     VehicleCacheEntry& entry = *it->second;
-    if (!entry.has_key || !(entry.key == vehicles[j])) {
-      // Content changed (or never recorded): every cached pair weight was
-      // computed against different inputs. The correctness backstop — it
-      // also covers drivers that mutate vehicle state without events.
-      if (entry.has_key) ++stats_.invalidated_vehicles;
-      entry.pairs.clear();
-      entry.key = vehicles[j];
-      entry.has_key = true;
-    }
     entry.last_used_build = builds_;
     slots[j] = &entry;
   }
@@ -94,45 +45,6 @@ std::vector<VehicleCacheEntry*> EdgeCache::BeginWindow(
     }
   }
   return slots;
-}
-
-void EdgeCache::StorePair(VehicleCacheEntry& entry, PairEntry pair) {
-  // Replace an existing entry for the same batch key in place.
-  for (PairEntry& existing : entry.pairs) {
-    if (existing.batch_key == pair.batch_key &&
-        existing.first_pickup == pair.first_pickup &&
-        existing.orders == pair.orders) {
-      existing = std::move(pair);
-      return;
-    }
-  }
-  if (entry.pairs.size() >= kMaxPairsPerVehicle) {
-    entry.pairs.erase(entry.pairs.begin());
-  }
-  entry.pairs.push_back(std::move(pair));
-}
-
-bool EdgeCache::PairValid(const PairEntry& pair, Seconds now) const {
-  if (now == pair.now0) return true;
-  if (!time_invariant_) return false;
-  switch (pair.kind) {
-    case PairKind::kOmegaFirstMile:
-      // SP(location, first pickup) is time-independent; the > bound compare
-      // repeats bitwise at any decision time.
-      return true;
-    case PairKind::kOmegaInfeasible:
-      // Leg reachability is time-independent, so both the base and the
-      // combined plan search fail identically at any decision time.
-      return true;
-    case PairKind::kTrueCost:
-    case PairKind::kOmegaClamp:
-      // Anchored-plan argument (see header): only for an empty vehicle,
-      // moving forward in time, while the optimal plan's first pickup still
-      // waits on food readiness at the later start.
-      return pair.vehicle_empty && pair.ready_anchored && now >= pair.now0 &&
-             now + pair.first_leg <= pair.first_ready;
-  }
-  return false;
 }
 
 void EdgeCache::EnsureShards(int shards) {

@@ -1,9 +1,10 @@
-// Cross-window FOODGRAPH edge cache (the incremental maintenance layer).
+// Cross-window FOODGRAPH state: the EdgeCache that BuildFoodGraph
+// (core/food_graph.h) fills the graph through.
 //
-// BENCH_profile.json puts `graph.build` at ~88–92% of FoodMatch decision
-// time because every window recomputes all (vehicle, batch) insertion costs
-// from scratch even though most pairs are untouched between consecutive
-// windows. The EdgeCache makes the build incremental along three axes:
+// Every build runs through an EdgeCache. A policy that keeps its cache
+// across windows (Config::incremental_graph, the default) gets the saving;
+// a build handed no cache runs on a cold one local to the call. The cache
+// holds two things:
 //
 //   1. Search footprints — the best-first discovery order of Alg. 2 for one
 //      vehicle depends only on (source, next-destination, hour slot): the
@@ -15,33 +16,22 @@
 //      is needed. A replayed prefix yields bit-identical visits, β-bounds
 //      and therefore edges and `nodes_expanded` counts.
 //
-//   2. Pair values — min(mCost(π, v), Ω) for an exact (vehicle content,
-//      batch content) key is reused when it is *provably* unchanged:
-//      always at the identical decision time, and across windows only under
-//      a time-invariant travel-time network (then SP is independent of the
-//      query time) with per-kind rules spelled out at PairValid(). Reuse
-//      never changes a value: the rules are chosen so the from-scratch
-//      build would bitwise-reproduce the cached number.
-//
-//   3. Duration memos — exact per-shard memos of oracle answers keyed
+//   2. Duration memos — exact per-shard memos of oracle answers keyed
 //      (u, v, slot) (see DurationMemo), shared by every planner call the
-//      incremental build issues. A memo replays the oracle's own answers,
-//      so it is invisible in results.
+//      build issues. A memo replays the oracle's own answers, so it is
+//      invisible in results.
 //
-// Invalidation: a vehicle's pair entries are dropped whenever its content
-// key (the full VehicleSnapshot) differs from the cached one — the
-// correctness backstop that catches drivers mutating state without events —
-// and eagerly via the OnVehicleChanged / OnVehicleRetired hooks the
-// DispatchEngine fires on assignment, reshuffle strip, reinstatement,
-// delivery pruning and retirement. Footprints carry their own validity key
-// (source, dest, slot) and survive order-set changes.
+// Pair weights are recomputed every window. Footprints carry their own
+// validity key (source, dest, slot) and survive order-set changes; a
+// retired vehicle's footprint is freed by OnVehicleRetired, and entries
+// unused for kRetainBuilds builds are collected.
 //
 // Determinism: entries are keyed per vehicle and each vehicle is owned by
 // exactly one shard of the statically sharded build, so cache state after
 // any window is independent of the thread count; with the per-shard memos
-// value-transparent, incremental builds are bit-identical for 1 vs N lanes
-// and bit-identical to the from-scratch build (enforced by
-// tests/food_graph_incremental_test.cc and bench_incremental_graph).
+// value-transparent, a persistent cache yields graphs bit-identical to a
+// cold one for 1 vs N lanes (enforced by tests/food_graph_incremental_test.cc
+// and bench_incremental_graph).
 #ifndef FOODMATCH_CORE_EDGE_CACHE_H_
 #define FOODMATCH_CORE_EDGE_CACHE_H_
 
@@ -53,25 +43,16 @@
 
 #include "common/types.h"
 #include "graph/distance_oracle.h"
-#include "model/config.h"
-#include "model/order.h"
 #include "model/vehicle.h"
 
 namespace fm {
 
-// Counters the incremental build accumulates, surfaced by
-// `bench_incremental_graph` / BENCH_incremental.json.
+// Counters the build accumulates, surfaced by `bench_incremental_graph` /
+// BENCH_incremental.json.
 struct EdgeCacheStats {
-  std::uint64_t epoch_bumps = 0;          // OnVehicleChanged notifications
-  std::uint64_t retirements = 0;          // OnVehicleRetired notifications
-  std::uint64_t invalidated_vehicles = 0; // content-key mismatches at build
   std::uint64_t footprint_replays = 0;    // searches served from the record
   std::uint64_t footprint_resumes = 0;    // recorded prefix extended live
   std::uint64_t footprint_rebuilds = 0;   // key mismatch, search restarted
-  std::uint64_t pair_hits = 0;            // pair weights reused
-  std::uint64_t pair_misses = 0;          // pair weights computed
-  std::uint64_t pruned_vehicles = 0;      // whole columns geo-pruned
-  std::uint64_t pruned_pairs = 0;         // full-build pairs geo-pruned
   std::uint64_t duration_memo_hits = 0;
   std::uint64_t duration_memo_misses = 0;
 };
@@ -110,14 +91,11 @@ struct SearchFootprint {
   // uninterrupted search would be after `visits.size()` settlements.
   // `queue` is the raw binary-heap array of the lazy-deletion priority
   // queue, maintained with std::push_heap / std::pop_heap under
-  // std::greater — the exact operations std::priority_queue performs, so
-  // the pop order (and therefore every settle) is bit-identical to the
-  // from-scratch search. `labels` holds the (α, β) of every touched node;
-  // an extension session loads them into flat per-shard stamp arrays and
+  // std::greater. `labels` holds the (α, β) of every touched node; an
+  // extension session loads them into flat per-shard stamp arrays and
   // writes the touched set back on close (see food_graph.cc), which keeps
-  // the hot relax loop at from-scratch array speed — a hash-map frontier
-  // was measurably slower than the search it replaced. Pure replays never
-  // read the labels at all.
+  // the hot relax loop at flat-array speed. Pure replays never read the
+  // labels at all.
   using QueueEntry = std::pair<double, NodeId>;
   std::vector<QueueEntry> queue;
   std::vector<FootprintLabel> labels;
@@ -128,118 +106,37 @@ struct SearchFootprint {
   }
 };
 
-// Why a cached pair weight is what it is — decides the cross-window reuse
-// rule (see PairValid).
-enum class PairKind : std::uint8_t {
-  kTrueCost,        // weight == mCost < Ω
-  kOmegaFirstMile,  // SP(loc, first pickup) exceeded the first-mile bound
-  kOmegaInfeasible, // the combined (or base) plan had an unreachable leg
-  kOmegaClamp,      // mCost computed but >= Ω
-};
-
-// One cached (vehicle, batch) weight, keyed by the exact batch content.
-struct PairEntry {
-  // First-stage filter for the key compare: a hash of the batch's order
-  // ids. Equal content implies equal hash, so comparing it before the deep
-  // per-order compare never changes the outcome — it only skips the scan's
-  // vector compares on the (overwhelmingly common) mismatch.
-  std::uint64_t batch_key = 0;
-  NodeId first_pickup = kInvalidNode;
-  std::vector<Order> orders;  // full content: ids, nodes, times, items
-  Seconds now0 = 0.0;         // decision time the weight was computed at
-  Seconds weight = 0.0;
-  PairKind kind = PairKind::kTrueCost;
-  // Facts for the cross-window validity proof (kTrueCost / kOmegaClamp):
-  bool vehicle_empty = false;   // no picked/unpicked orders at compute time
-  bool ready_anchored = false;  // first stop's departure bound by readiness
-  Seconds first_leg = 0.0;      // SP(loc, first stop) — the only now-term
-  Seconds first_ready = 0.0;    // ready_at() of the first stop's order
-};
-
 // Everything cached for one vehicle. Stable address (held by unique_ptr in
 // the registry) so the sharded build can use pre-fetched pointers.
 struct VehicleCacheEntry {
-  // Bumped by OnVehicleChanged; counts invalidations for the stats.
-  std::uint64_t epoch = 0;
-  // Content key: the exact snapshot the pair entries were computed against.
-  VehicleSnapshot key;
-  bool has_key = false;
   SearchFootprint footprint;
-  std::vector<PairEntry> pairs;
   std::uint64_t last_used_build = 0;
 };
 
 /// \brief Per-policy registry of VehicleCacheEntry + per-shard DurationMemos.
 ///
-/// Thread safety: all mutating registry operations (hooks, BeginWindow,
-/// EnsureShards) run on the policy thread between builds. During a build,
-/// shards touch only the entries of vehicles they own (pointers pre-fetched
-/// by BeginWindow) and their own memo — no shared mutable state.
+/// Thread safety: all mutating registry operations (OnVehicleRetired,
+/// BeginWindow, EnsureShards) run on the policy thread between builds.
+/// During a build, shards touch only the entries of vehicles they own
+/// (pointers pre-fetched by BeginWindow) and their own memo — no shared
+/// mutable state.
 ///
-/// Complexity: BeginWindow is O(|vehicles|) key compares plus amortized GC;
-/// pair lookup is a linear scan of one vehicle's entry list (capped at
-/// kMaxPairsPerVehicle, batches hold <= MAXO orders, so compares are cheap).
+/// Complexity: BeginWindow is O(|vehicles|) hash lookups plus amortized GC.
 class EdgeCache {
  public:
-  // `oracle` must outlive the cache. Scans the network once to decide
-  // whether travel times are invariant across hour slots (which unlocks the
-  // cross-window pair reuse rules; always true for the haversine backend).
-  EdgeCache(const DistanceOracle* oracle, const Config& config);
-
-  // Event hooks, forwarded from the policy (which gets them from the
-  // DispatchEngine): the vehicle's plan/content changed — drop its pair
-  // entries now instead of waiting for the key compare.
-  void OnVehicleChanged(VehicleId vehicle);
   // The vehicle left the fleet: free everything it cached.
   void OnVehicleRetired(VehicleId vehicle);
 
-  // Reconciles the registry against this window's snapshots: creates
-  // missing entries, drops pair lists whose content key no longer matches,
-  // and garbage-collects entries unused for kRetainBuilds builds. Returns
-  // one stable entry pointer per snapshot (index-aligned), safe to hand to
-  // the sharded build.
+  // Registers this window's vehicles: creates missing entries and
+  // garbage-collects entries unused for kRetainBuilds builds. Returns one
+  // stable entry pointer per snapshot (index-aligned), safe to hand to the
+  // sharded build.
   std::vector<VehicleCacheEntry*> BeginWindow(
       const std::vector<VehicleSnapshot>& vehicles);
-
-  // Records a computed pair weight into `entry`, evicting the oldest entry
-  // once the per-vehicle cap is reached.
-  static void StorePair(VehicleCacheEntry& entry, PairEntry pair);
-
-  // Whether `pair`'s weight is provably the value a from-scratch build
-  // would compute at `now` (given the vehicle content key already matched).
-  //
-  //   * now == now0 — identical inputs, always valid.
-  //   * otherwise reuse needs a time-invariant network (SP independent of
-  //     query time, bitwise — every slot carries identical edge weights):
-  //       kOmegaFirstMile  — the first-mile SP and its bound compare are
-  //                          time-independent; same Ω outcome at any `now`.
-  //       kOmegaInfeasible — leg reachability is time-independent, so the
-  //                          plan search fails identically at any `now`.
-  //       kTrueCost / kOmegaClamp — only for an empty vehicle with the
-  //                          combined plan anchored on food readiness
-  //                          (arrival ≤ ready at the first pickup) and
-  //                          now0 <= now, now + first_leg <= first_ready:
-  //                          the optimal plan's downstream timeline is then
-  //                          identical in absolute time, every competing
-  //                          plan's arrival sum is monotone nondecreasing
-  //                          in the start time (IEEE-monotone operations),
-  //                          and the planner returns the first minimal leaf
-  //                          in a fixed enumeration order — so the search
-  //                          at `now` returns the same plan and the same
-  //                          bitwise cost.
-  bool PairValid(const PairEntry& pair, Seconds now) const;
-
-  // True when every edge carries bitwise-identical travel times in all
-  // hour slots (trivially true for the haversine backend).
-  bool time_invariant() const { return time_invariant_; }
 
   // Pre-sizes the per-shard memo set; call before the parallel region.
   void EnsureShards(int shards);
   DurationMemo& memo_for_shard(int shard) { return *memos_[shard]; }
-
-  std::uint64_t builds() const { return builds_; }
-  const Config& config() const { return config_; }
-  const DistanceOracle& oracle() const { return *oracle_; }
 
   EdgeCacheStats& stats() { return stats_; }
   // Stats with the per-shard memo counters folded in.
@@ -247,13 +144,9 @@ class EdgeCache {
 
   std::size_t entry_count() const { return entries_.size(); }
 
-  static constexpr std::size_t kMaxPairsPerVehicle = 512;
   static constexpr std::uint64_t kRetainBuilds = 256;
 
  private:
-  const DistanceOracle* oracle_;
-  Config config_;
-  bool time_invariant_ = false;
   std::uint64_t builds_ = 0;
   EdgeCacheStats stats_;
   std::unordered_map<VehicleId, std::unique_ptr<VehicleCacheEntry>> entries_;

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <queue>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
-#include "common/check.h"
 #include "common/profiler.h"
 #include "common/time.h"
 #include "core/edge_cache.h"
@@ -21,72 +18,34 @@ namespace {
 // Per-vehicle lazily computed base-route cost: mCost(π, v) = cost(plan with
 // π) − cost(plan without), and the "without" term depends only on (v, now),
 // so one evaluation serves every candidate batch of the vehicle. Computing
-// it lazily (on the first pair that passes the first-mile gate) reproduces
-// exactly the calls the unhoisted code would have made.
+// it lazily (on the first pair that passes the first-mile gate) issues
+// exactly the planner calls an unhoisted per-pair evaluation would.
 struct LazyBase {
   bool computed = false;
   Seconds value = kInfiniteTime;
 };
 
-// Edge weight for one batch-vehicle pair: min(mCost, Ω), or Ω when the pair
-// is infeasible (Def. 4 capacities, unreachable stops, or the 45-minute
-// first-mile bound of §V-B). `base` caches the vehicle's base-route cost
-// across calls for the same vehicle.
-Seconds ScratchPairWeight(const DistanceOracle& oracle, const Config& config,
-                          const Batch& batch, const VehicleSnapshot& vehicle,
-                          Seconds now, LazyBase& base) {
-  const Seconds omega = config.rejection_penalty;
-  const Seconds first_mile =
-      oracle.Duration(vehicle.location, batch.first_pickup, now);
-  if (first_mile > config.max_first_mile) return omega;
-  if (!base.computed) {
-    base.value = BaseRouteCost(oracle, vehicle, now);
-    base.computed = true;
-  }
-  const Seconds mcost =
-      MarginalCostWithBase(oracle, vehicle, now, batch.orders, base.value);
-  if (mcost == kInfiniteTime) return omega;
-  return std::min(mcost, omega);
-}
-
-// VΠ as a CSR index: candidate first-pickup nodes (sorted) with the batch
-// rows starting at each, ascending. Replaces a per-build hash map — built
-// serially in O(|batches| log |batches|), read lock-free by every shard.
+// VΠ as a CSR index: the batch rows starting at each candidate first-pickup
+// node, ascending, with an O(1) node → slot lookup. Built serially in
+// O(|batches| log |batches| + |V|), read lock-free by every shard.
 struct StartIndex {
-  std::vector<NodeId> nodes;            // sorted unique first-pickup nodes
-  std::vector<std::uint32_t> offsets;   // nodes.size() + 1 prefix offsets
-  std::vector<std::uint32_t> rows;      // batch indices, ascending per node
-  // Optional O(1) node → index-into-offsets lookup (-1: no batch starts
-  // there). Built only by the incremental path, which probes the index once
-  // per replayed visit — at tens of thousands of visits per window the
-  // binary search is a measurable cost; the from-scratch builder keeps it.
-  std::vector<std::int32_t> flat;
+  std::vector<std::int32_t> slot_of;   // node → index into offsets, or -1
+  std::vector<std::uint32_t> offsets;  // per start node, plus one end offset
+  std::vector<std::uint32_t> rows;     // batch indices, ascending per node
 
-  bool empty() const { return nodes.empty(); }
-
-  void BuildFlat(std::size_t num_nodes) {
-    flat.assign(num_nodes, -1);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      flat[nodes[i]] = static_cast<std::int32_t>(i);
-    }
-  }
+  bool empty() const { return rows.empty(); }
 
   // [begin, end) into `rows` for `node`; empty when no batch starts there.
   std::pair<const std::uint32_t*, const std::uint32_t*> RowsAt(
       NodeId node) const {
-    if (!flat.empty()) {
-      const std::int32_t idx = flat[node];
-      if (idx < 0) return {nullptr, nullptr};
-      return {rows.data() + offsets[idx], rows.data() + offsets[idx + 1]};
-    }
-    auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
-    if (it == nodes.end() || *it != node) return {nullptr, nullptr};
-    const std::size_t idx = static_cast<std::size_t>(it - nodes.begin());
+    const std::int32_t idx = slot_of[node];
+    if (idx < 0) return {nullptr, nullptr};
     return {rows.data() + offsets[idx], rows.data() + offsets[idx + 1]};
   }
 };
 
-StartIndex BuildStartIndex(const std::vector<Batch>& batches) {
+StartIndex BuildStartIndex(const std::vector<Batch>& batches,
+                           std::size_t num_nodes) {
   StartIndex index;
   std::vector<std::pair<NodeId, std::uint32_t>> pairs;
   pairs.reserve(batches.size());
@@ -94,125 +53,30 @@ StartIndex BuildStartIndex(const std::vector<Batch>& batches) {
     if (batches[i].cost == kInfiniteTime) continue;  // unroutable batch
     pairs.emplace_back(batches[i].first_pickup, static_cast<std::uint32_t>(i));
   }
-  // Lexicographic sort keeps rows ascending per node — the same scan order
-  // the per-node push_back of the previous hash-map index produced.
+  // Lexicographic sort keeps rows ascending per node.
   std::sort(pairs.begin(), pairs.end());
+  index.slot_of.assign(num_nodes, -1);
   index.rows.reserve(pairs.size());
-  for (const auto& [node, row] : pairs) {
-    if (index.nodes.empty() || index.nodes.back() != node) {
-      index.nodes.push_back(node);
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const NodeId node = pairs[p].first;
+    if (p == 0 || pairs[p - 1].first != node) {
+      index.slot_of[node] = static_cast<std::int32_t>(index.offsets.size());
       index.offsets.push_back(static_cast<std::uint32_t>(index.rows.size()));
     }
-    index.rows.push_back(row);
+    index.rows.push_back(pairs[p].second);
   }
   index.offsets.push_back(static_cast<std::uint32_t>(index.rows.size()));
   return index;
 }
-
-// Geodesic reachability pruning. Any path's travel time is at least its
-// great-circle length divided by the fastest speed in the network, so a
-// vehicle whose straight-line distance to every candidate first-pickup node
-// exceeds
-//
-//   radius = max_first_mile · v_max · (1 + ε) + 1 m
-//
-// provably fails the first-mile bound everywhere: its column stays Ω and
-// (in the sparsified build) its starts-scan would never reach an mCost
-// evaluation. Skipping it changes nodes_expanded only — which the builders
-// keep equal between the scratch and incremental paths by applying the
-// identical test in both.
-struct PruneContext {
-  bool vehicle_prune = false;  // whole-column skip (needs start positions)
-  bool pair_prune = false;     // per-pair skip in the full build
-  double radius_m = 0.0;
-  // Candidate first-pickup positions sorted by latitude for a banded scan.
-  std::vector<std::pair<double, double>> starts_by_lat;  // (lat_deg, lon_deg)
-};
-
-// Underestimate of meters per degree of latitude — overestimates the scan
-// band, which is the safe direction.
-constexpr double kMinMetersPerDegLat = 110000.0;
-
-PruneContext BuildPruneContext(const DistanceOracle& oracle,
-                               const Config& config, int slot,
-                               const std::vector<NodeId>& start_nodes) {
-  PruneContext ctx;
-  const RoadNetwork& net = oracle.network();
-  double vmax = 0.0;
-  if (oracle.backend() == OracleBackend::kHaversine) {
-    vmax = oracle.haversine_speed_mps();
-  } else {
-    for (std::size_t e = 0; e < net.num_edges(); ++e) {
-      const EdgeId edge = static_cast<EdgeId>(e);
-      const double h = Haversine(net.node_position(net.edge_tail(edge)),
-                                 net.node_position(net.edge_head(edge)));
-      if (h <= 0.0) continue;
-      const Seconds t = net.EdgeTime(edge, slot);
-      if (t <= 0.0) return ctx;  // zero-time edge: no speed bound, disable
-      vmax = std::max(vmax, h / t);
-    }
-  }
-  if (vmax <= 0.0) return ctx;  // degenerate geometry: disable
-  ctx.radius_m = config.max_first_mile * vmax * (1.0 + 1e-9) + 1.0;
-  ctx.pair_prune = true;
-  ctx.starts_by_lat.reserve(start_nodes.size());
-  for (NodeId node : start_nodes) {
-    const LatLon& pos = net.node_position(node);
-    ctx.starts_by_lat.emplace_back(pos.lat_deg, pos.lon_deg);
-  }
-  std::sort(ctx.starts_by_lat.begin(), ctx.starts_by_lat.end());
-  ctx.vehicle_prune = !ctx.starts_by_lat.empty();
-  return ctx;
-}
-
-// True when every candidate first-pickup node is provably beyond the
-// reachability radius of `pos`.
-bool VehicleOutOfRange(const PruneContext& ctx, const LatLon& pos) {
-  if (!ctx.vehicle_prune) return false;
-  const double band = ctx.radius_m / kMinMetersPerDegLat;
-  auto it = std::lower_bound(
-      ctx.starts_by_lat.begin(), ctx.starts_by_lat.end(),
-      std::make_pair(pos.lat_deg - band, -std::numeric_limits<double>::max()));
-  for (; it != ctx.starts_by_lat.end() && it->first <= pos.lat_deg + band;
-       ++it) {
-    const LatLon start{it->first, it->second};
-    if (Haversine(pos, start) <= ctx.radius_m) return false;
-  }
-  return true;
-}
-
-bool PairOutOfRange(const PruneContext& ctx, const LatLon& vehicle_pos,
-                    const LatLon& start_pos) {
-  return ctx.pair_prune && Haversine(vehicle_pos, start_pos) > ctx.radius_m;
-}
-
-// Reusable scratch for one vehicle's best-first search; allocated once per
-// shard so parallel searches never share mutable state.
-struct SearchScratch {
-  std::vector<double> alpha_dist;
-  std::vector<Seconds> beta_dist;
-  std::vector<bool> visited;
-
-  explicit SearchScratch(std::size_t nodes)
-      : alpha_dist(nodes), beta_dist(nodes), visited(nodes) {}
-};
 
 // Counters one shard accumulates privately; reduced over shards in fixed
 // order so totals are identical for any thread count.
 struct ShardCounters {
   std::uint64_t mcost_evaluations = 0;
   std::uint64_t nodes_expanded = 0;
-};
-
-// Per-shard slice of the EdgeCacheStats the incremental build accumulates.
-struct LocalCacheStats {
   std::uint64_t footprint_replays = 0;
   std::uint64_t footprint_resumes = 0;
   std::uint64_t footprint_rebuilds = 0;
-  std::uint64_t pair_hits = 0;
-  std::uint64_t pair_misses = 0;
-  std::uint64_t pruned_vehicles = 0;
-  std::uint64_t pruned_pairs = 0;
 };
 
 // The derived degree bound k (§V-B, with a coverage floor).
@@ -228,33 +92,63 @@ int DeriveK(const Config& config, const FoodGraphOptions& options,
   return std::max(k, 1);
 }
 
-// ---------------------------------------------------------------------------
-// Incremental helpers
-// ---------------------------------------------------------------------------
+// Inputs shared by every column of one build.
+struct BuildContext {
+  const DistanceOracle& oracle;
+  const Config& config;
+  const std::vector<Batch>& batches;
+  const StartIndex& starts;  // empty for the full build
+  Seconds now;
+  int slot;
+  int k;             // sparsified degree bound
+  Seconds max_beta;  // max β over the slot's edges (Eq. 8 normalizer)
+  double gamma;
+  bool angular;
+};
 
-// 64-bit FNV-1a of a batch's order ids. Equal batch content implies equal
-// hash, so the pair scan can compare it before the deep per-order compare
-// without ever changing a lookup's outcome.
-std::uint64_t BatchContentKey(const Batch& batch) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(batch.first_pickup));
-  mix(batch.orders.size());
-  for (const Order& order : batch.orders) {
-    mix(static_cast<std::uint64_t>(order.id));
+// Edge weight for one batch-vehicle pair that passed the Def. 4 capacity
+// test: min(mCost, Ω), or Ω when the pair is infeasible (unreachable stops,
+// or the 45-minute first-mile bound of §V-B). Every leg is answered through
+// the shard's memo; `base` carries the vehicle's base-route cost across its
+// pairs.
+Seconds PairWeight(const BuildContext& ctx, const Batch& batch,
+                   const VehicleSnapshot& vehicle, DurationMemo& memo,
+                   LazyBase& base) {
+  const Seconds omega = ctx.config.rejection_penalty;
+  const Seconds first_mile =
+      memo.Duration(ctx.oracle, vehicle.location, batch.first_pickup, ctx.now);
+  if (first_mile > ctx.config.max_first_mile) return omega;
+  if (!base.computed) {
+    base.value = BaseRouteCost(ctx.oracle, vehicle, ctx.now, &memo);
+    base.computed = true;
   }
-  return h;
+  const Seconds mcost = MarginalCostWithBase(ctx.oracle, vehicle, ctx.now,
+                                             batch.orders, base.value, &memo);
+  if (mcost == kInfiniteTime) return omega;
+  return mcost < omega ? mcost : omega;
+}
+
+// One vehicle's full column (§IV-A): every capacity-feasible batch gets its
+// true weight.
+void FillFullColumn(const BuildContext& ctx, const VehicleSnapshot& vehicle,
+                    std::size_t j, DurationMemo& memo, FoodGraph& graph,
+                    ShardCounters& counters) {
+  LazyBase base;
+  for (std::size_t i = 0; i < ctx.batches.size(); ++i) {
+    const Batch& batch = ctx.batches[i];
+    if (batch.cost == kInfiniteTime) continue;  // unroutable batch
+    if (!SatisfiesCapacity(ctx.config, batch, vehicle)) continue;
+    ++counters.mcost_evaluations;
+    graph.cost.set(i, j, PairWeight(ctx, batch, vehicle, memo, base));
+  }
 }
 
 // Flat per-shard scratch an extension session runs on. The footprint's
 // persistent label list is loaded into stamped arrays when a window first
 // needs to extend the recorded search (pure replays never open a session),
-// the extension loop then relaxes at from-scratch array speed, and the
-// touched set is written back on close. Stamps make reuse across sessions
-// O(touched) instead of O(|V|) fills.
+// the extension loop then relaxes at flat-array speed, and the touched set
+// is written back on close. Stamps make reuse across sessions O(touched)
+// instead of O(|V|) fills.
 struct FootprintScratch {
   std::uint64_t session = 0;
   std::vector<std::uint64_t> label_stamp;  // == session: alpha/beta valid
@@ -293,13 +187,12 @@ struct FootprintScratch {
 
 // Settles the next node of `fp`'s recorded search live: pops the frontier
 // until a fresh node settles (appending it to the visit record) or the
-// queue drains (marking the footprint exhausted). Exactly one iteration of
-// the from-scratch search loop, operating on the session's flat arrays;
-// the heap ops mirror std::priority_queue's push/pop exactly, so the
-// settle order is bit-identical to the from-scratch search.
+// queue drains (marking the footprint exhausted). One iteration of the
+// Alg. 2 search loop (lines 2–20), operating on the session's flat arrays;
+// the heap ops are std::priority_queue's push/pop, so the settle order is a
+// deterministic function of (source, dest, slot).
 bool ExtendOneVisit(SearchFootprint& fp, FootprintScratch& scratch,
-                    const RoadNetwork& net, int slot, Seconds max_beta,
-                    double gamma, bool angular, Seconds max_first_mile,
+                    const RoadNetwork& net, const BuildContext& ctx,
                     const LatLon& source_pos, const LatLon& dest_pos) {
   const std::uint64_t session = scratch.session;
   const auto greater = std::greater<SearchFootprint::QueueEntry>{};
@@ -312,15 +205,18 @@ bool ExtendOneVisit(SearchFootprint& fp, FootprintScratch& scratch,
     const Seconds ubeta = scratch.beta[u];
     fp.visits.push_back({u, ubeta});
 
+    // Expand neighbours with the vehicle-sensitive weight α (Eq. 8).
     for (EdgeId e : net.OutEdges(u)) {
       const NodeId v = net.edge_head(e);
       if (scratch.visit_stamp[v] == session) continue;
-      const Seconds beta = net.EdgeTime(e, slot);
+      const Seconds beta = net.EdgeTime(e, ctx.slot);
+      // Bound exploration by the promised first-mile limit: nodes beyond
+      // it can only yield Ω edges anyway.
       const Seconds nbeta = ubeta + beta;
-      if (nbeta > max_first_mile) continue;
-      double alpha = gamma * beta / max_beta;
-      if (angular) {
-        alpha += (1.0 - gamma) *
+      if (nbeta > ctx.config.max_first_mile) continue;
+      double alpha = ctx.gamma * beta / ctx.max_beta;
+      if (ctx.angular) {
+        alpha += (1.0 - ctx.gamma) *
                  AngularDistance(source_pos, dest_pos, net.node_position(v));
       }
       const double nd = d + alpha;
@@ -344,99 +240,27 @@ bool ExtendOneVisit(SearchFootprint& fp, FootprintScratch& scratch,
   return false;
 }
 
-// Weight of one (batch, vehicle) pair through the pair-value cache: reuse
-// the stored weight when EdgeCache::PairValid proves the from-scratch build
-// would bitwise-reproduce it, otherwise recompute (through the shard's
-// DurationMemo) and store.
-Seconds CachedPairWeight(EdgeCache& cache, VehicleCacheEntry& entry,
-                         std::uint64_t batch_key, const Batch& batch,
-                         const VehicleSnapshot& vehicle, Seconds now,
-                         DurationMemo& memo, LazyBase& base,
-                         LocalCacheStats& stats) {
-  for (const PairEntry& existing : entry.pairs) {
-    if (existing.batch_key == batch_key &&
-        existing.first_pickup == batch.first_pickup &&
-        existing.orders == batch.orders) {
-      if (cache.PairValid(existing, now)) {
-        ++stats.pair_hits;
-        return existing.weight;
-      }
-      break;  // stale: recompute and overwrite in place via StorePair
-    }
-  }
-  ++stats.pair_misses;
-
-  const DistanceOracle& oracle = cache.oracle();
-  const Config& config = cache.config();
-  const Seconds omega = config.rejection_penalty;
-  PairEntry pair;
-  pair.batch_key = batch_key;
-  pair.first_pickup = batch.first_pickup;
-  pair.orders = batch.orders;
-  pair.now0 = now;
-  pair.vehicle_empty = vehicle.picked.empty() && vehicle.unpicked.empty();
-
-  const Seconds first_mile =
-      memo.Duration(oracle, vehicle.location, batch.first_pickup, now);
-  if (first_mile > config.max_first_mile) {
-    pair.kind = PairKind::kOmegaFirstMile;
-    pair.weight = omega;
-  } else {
-    if (!base.computed) {
-      base.value = BaseRouteCost(oracle, vehicle, now, &memo);
-      base.computed = true;
-    }
-    MarginalCostDetail detail;
-    const Seconds mcost = MarginalCostWithBase(oracle, vehicle, now,
-                                               batch.orders, base.value, &memo,
-                                               &detail);
-    if (mcost == kInfiniteTime) {
-      pair.kind = PairKind::kOmegaInfeasible;
-      pair.weight = omega;
-    } else {
-      pair.ready_anchored = detail.ready_anchored;
-      pair.first_leg = detail.first_leg;
-      pair.first_ready = detail.first_ready;
-      if (mcost < omega) {
-        pair.kind = PairKind::kTrueCost;
-        pair.weight = mcost;
-      } else {
-        pair.kind = PairKind::kOmegaClamp;
-        pair.weight = omega;
-      }
-    }
-  }
-  const Seconds weight = pair.weight;
-  EdgeCache::StorePair(entry, std::move(pair));
-  return weight;
-}
-
-// One vehicle's sparsified column through the footprint cache: replay the
-// recorded visit sequence (bit-identical to re-running the search — the
-// visit order never depends on the batch set or k), extending it live only
-// when this window needs a deeper prefix.
-void RunFootprintSearch(EdgeCache& cache, VehicleCacheEntry& entry,
-                        const StartIndex& starts,
-                        const std::vector<Batch>& batches,
-                        const std::vector<std::uint64_t>& batch_keys,
-                        const VehicleSnapshot& vehicle, std::size_t j, int k,
-                        int slot, Seconds max_beta, double gamma, bool angular,
-                        Seconds now, DurationMemo& memo,
-                        FootprintScratch& scratch, FoodGraph& graph,
-                        ShardCounters& counters, LocalCacheStats& stats) {
-  const Config& config = cache.config();
-  const RoadNetwork& net = cache.oracle().network();
+// One vehicle's sparsified column (Alg. 2) through its search footprint:
+// replay the recorded visit sequence (the visit order never depends on the
+// batch set or k), extending it live only when this window needs a deeper
+// prefix, and give the first k capacity-feasible batches discovered their
+// true weights. Batches not discovered keep their Ω initialization
+// (line 19).
+void RunFootprintSearch(const BuildContext& ctx, SearchFootprint& fp,
+                        const VehicleSnapshot& vehicle, std::size_t j,
+                        DurationMemo& memo, FootprintScratch& scratch,
+                        FoodGraph& graph, ShardCounters& counters) {
+  const RoadNetwork& net = ctx.oracle.network();
   const LatLon& source_pos = net.node_position(vehicle.location);
   const LatLon& dest_pos = net.node_position(vehicle.next_destination);
 
-  SearchFootprint& fp = entry.footprint;
-  const bool fresh = !fp.Matches(vehicle.location, vehicle.next_destination,
-                                 slot);
+  const bool fresh =
+      !fp.Matches(vehicle.location, vehicle.next_destination, ctx.slot);
   if (fresh) {
-    fp.Reset(vehicle.location, vehicle.next_destination, slot);
-    ++stats.footprint_rebuilds;
+    fp.Reset(vehicle.location, vehicle.next_destination, ctx.slot);
+    ++counters.footprint_rebuilds;
   } else {
-    ++stats.footprint_replays;
+    ++counters.footprint_replays;
   }
 
   LazyBase base;
@@ -444,204 +268,38 @@ void RunFootprintSearch(EdgeCache& cache, VehicleCacheEntry& entry,
   std::size_t next_visit = 0;
   bool resumed = false;
   bool session_open = false;  // flat arrays loaded — only once extending
-  while (degree < k) {
+  while (degree < ctx.k) {
     if (next_visit == fp.visits.size()) {
       if (fp.exhausted) break;
       if (!fresh && !resumed) {
         resumed = true;
-        ++stats.footprint_resumes;
+        ++counters.footprint_resumes;
       }
       if (!session_open) {
         scratch.Open(fp);
         session_open = true;
       }
-      if (!ExtendOneVisit(fp, scratch, net, slot, max_beta, gamma, angular,
-                          config.max_first_mile, source_pos, dest_pos)) {
-        break;
-      }
+      if (!ExtendOneVisit(fp, scratch, net, ctx, source_pos, dest_pos)) break;
     }
     const SearchVisit visit = fp.visits[next_visit++];
     ++counters.nodes_expanded;
 
-    const auto [row_begin, row_end] = starts.RowsAt(visit.node);
+    // Add true edges to every batch whose route starts here (lines 13–15).
+    const auto [row_begin, row_end] = ctx.starts.RowsAt(visit.node);
     for (const std::uint32_t* it = row_begin; it != row_end; ++it) {
       const std::size_t i = *it;
-      if (degree >= k) break;
-      if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
-      if (visit.beta > config.max_first_mile) continue;
+      if (degree >= ctx.k) break;
+      if (!SatisfiesCapacity(ctx.config, ctx.batches[i], vehicle)) continue;
+      // Beyond the promised first-mile bound no true edge is needed;
+      // β-distance along the search tree is a (close) upper proxy.
+      if (visit.beta > ctx.config.max_first_mile) continue;
       ++counters.mcost_evaluations;
       graph.cost.set(i, j,
-                     CachedPairWeight(cache, entry, batch_keys[i], batches[i],
-                                      vehicle, now, memo, base, stats));
+                     PairWeight(ctx, ctx.batches[i], vehicle, memo, base));
       ++degree;
     }
   }
   if (session_open) scratch.Close(fp);
-}
-
-void ReduceCacheStats(EdgeCache& cache,
-                      const std::vector<LocalCacheStats>& locals) {
-  EdgeCacheStats& stats = cache.stats();
-  for (const LocalCacheStats& local : locals) {
-    stats.footprint_replays += local.footprint_replays;
-    stats.footprint_resumes += local.footprint_resumes;
-    stats.footprint_rebuilds += local.footprint_rebuilds;
-    stats.pair_hits += local.pair_hits;
-    stats.pair_misses += local.pair_misses;
-    stats.pruned_vehicles += local.pruned_vehicles;
-    stats.pruned_pairs += local.pruned_pairs;
-  }
-}
-
-// Incremental sparsified construction (Alg. 2 through the EdgeCache).
-FoodGraph BuildIncrementalSparsified(const DistanceOracle& oracle,
-                                     const Config& config,
-                                     const FoodGraphOptions& options,
-                                     const std::vector<Batch>& batches,
-                                     const std::vector<VehicleSnapshot>&
-                                         vehicles,
-                                     Seconds now, ThreadPool* pool,
-                                     EdgeCache& cache, PhaseProfile* profile) {
-  const RoadNetwork& net = oracle.network();
-  FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
-  if (batches.empty() || vehicles.empty()) return graph;
-  const int k = DeriveK(config, options, batches.size(), vehicles.size());
-
-  std::vector<VehicleCacheEntry*> slots;
-  {
-    ScopedPhaseTimer timer(profile, "graph.invalidate");
-    slots = cache.BeginWindow(vehicles);
-  }
-
-  StartIndex starts;
-  PruneContext prune;
-  std::vector<std::uint64_t> batch_keys(batches.size());
-  {
-    ScopedPhaseTimer timer(profile, "graph.prune");
-    starts = BuildStartIndex(batches);
-    if (!starts.empty()) {
-      starts.BuildFlat(net.num_nodes());
-      prune = BuildPruneContext(oracle, config, HourSlot(now), starts.nodes);
-      for (std::size_t i = 0; i < batches.size(); ++i) {
-        batch_keys[i] = BatchContentKey(batches[i]);
-      }
-    }
-  }
-  if (starts.empty()) return graph;
-
-  const int slot = HourSlot(now);
-  const Seconds max_beta = net.MaxEdgeTime(slot);
-  const double gamma = options.angular ? config.gamma : 1.0;
-
-  const int shards =
-      std::max(ShardCount(pool, vehicles.size()), 1);
-  cache.EnsureShards(shards);
-  std::vector<ShardCounters> counters(static_cast<std::size_t>(shards));
-  std::vector<LocalCacheStats> cache_stats(static_cast<std::size_t>(shards));
-  {
-    ScopedPhaseTimer timer(profile, "graph.delta");
-    ParallelForShards(
-        pool, vehicles.size(),
-        [&](int shard, std::size_t begin, std::size_t end) {
-          ShardCounters& local = counters[static_cast<std::size_t>(shard)];
-          LocalCacheStats& local_stats =
-              cache_stats[static_cast<std::size_t>(shard)];
-          DurationMemo& memo = cache.memo_for_shard(shard);
-          FootprintScratch scratch(net.num_nodes());
-          for (std::size_t j = begin; j < end; ++j) {
-            if (VehicleOutOfRange(prune,
-                                  net.node_position(vehicles[j].location))) {
-              ++local_stats.pruned_vehicles;
-              continue;
-            }
-            RunFootprintSearch(cache, *slots[j], starts, batches, batch_keys,
-                               vehicles[j], j, k, slot, max_beta, gamma,
-                               options.angular, now, memo, scratch, graph,
-                               local, local_stats);
-          }
-        });
-  }
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-    graph.nodes_expanded += c.nodes_expanded;
-  }
-  ReduceCacheStats(cache, cache_stats);
-  return graph;
-}
-
-// Incremental full construction. Sharded over columns (vehicles) — not the
-// rows the scratch builder shards — so every cache entry stays private to
-// the shard that owns its vehicle; the fill set and counters are identical
-// either way.
-FoodGraph BuildIncrementalFull(const DistanceOracle& oracle,
-                               const Config& config,
-                               const std::vector<Batch>& batches,
-                               const std::vector<VehicleSnapshot>& vehicles,
-                               Seconds now, ThreadPool* pool, EdgeCache& cache,
-                               PhaseProfile* profile) {
-  const RoadNetwork& net = oracle.network();
-  FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
-  if (batches.empty() || vehicles.empty()) return graph;
-
-  std::vector<VehicleCacheEntry*> slots;
-  {
-    ScopedPhaseTimer timer(profile, "graph.invalidate");
-    slots = cache.BeginWindow(vehicles);
-  }
-
-  PruneContext prune;
-  std::vector<std::uint64_t> batch_keys(batches.size());
-  {
-    ScopedPhaseTimer timer(profile, "graph.prune");
-    prune = BuildPruneContext(oracle, config, HourSlot(now), {});
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      batch_keys[i] = BatchContentKey(batches[i]);
-    }
-  }
-
-  const int shards =
-      std::max(ShardCount(pool, vehicles.size()), 1);
-  cache.EnsureShards(shards);
-  std::vector<ShardCounters> counters(static_cast<std::size_t>(shards));
-  std::vector<LocalCacheStats> cache_stats(static_cast<std::size_t>(shards));
-  {
-    ScopedPhaseTimer timer(profile, "graph.delta");
-    ParallelForShards(
-        pool, vehicles.size(),
-        [&](int shard, std::size_t begin, std::size_t end) {
-          ShardCounters& local = counters[static_cast<std::size_t>(shard)];
-          LocalCacheStats& local_stats =
-              cache_stats[static_cast<std::size_t>(shard)];
-          DurationMemo& memo = cache.memo_for_shard(shard);
-          for (std::size_t j = begin; j < end; ++j) {
-            const VehicleSnapshot& vehicle = vehicles[j];
-            const LatLon& vehicle_pos = net.node_position(vehicle.location);
-            LazyBase base;
-            for (std::size_t i = 0; i < batches.size(); ++i) {
-              if (batches[i].cost == kInfiniteTime) continue;
-              if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
-              ++local.mcost_evaluations;
-              if (PairOutOfRange(
-                      prune, vehicle_pos,
-                      net.node_position(batches[i].first_pickup))) {
-                // Provably beyond the first-mile bound: the weight is Ω,
-                // which is the matrix initialization.
-                ++local_stats.pruned_pairs;
-                continue;
-              }
-              graph.cost.set(i, j,
-                             CachedPairWeight(cache, *slots[j], batch_keys[i],
-                                              batches[i], vehicle, now, memo,
-                                              base, local_stats));
-            }
-          }
-        });
-  }
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-  }
-  ReduceCacheStats(cache, cache_stats);
-  return graph;
 }
 
 }  // namespace
@@ -655,197 +313,76 @@ bool SatisfiesCapacity(const Config& config, const Batch& batch,
   return items_after <= config.max_items_per_vehicle;
 }
 
-FoodGraph BuildFullFoodGraph(const DistanceOracle& oracle,
-                             const Config& config,
-                             const std::vector<Batch>& batches,
-                             const std::vector<VehicleSnapshot>& vehicles,
-                             Seconds now, ThreadPool* pool) {
-  const RoadNetwork& net = oracle.network();
-  FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
-  const PruneContext prune =
-      BuildPruneContext(oracle, config, HourSlot(now), {});
-  std::vector<ShardCounters> counters(
-      static_cast<std::size_t>(std::max(ShardCount(pool, batches.size()), 1)));
-  // Rows are sharded: batch i's row is written only by the shard owning i.
-  ParallelForShards(
-      pool, batches.size(),
-      [&](int shard, std::size_t begin, std::size_t end) {
-        ShardCounters& local = counters[static_cast<std::size_t>(shard)];
-        // Base-route costs per vehicle, shared down the shard's rows.
-        std::unordered_map<std::size_t, LazyBase> bases;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (batches[i].cost == kInfiniteTime) continue;  // unroutable batch
-          const LatLon& start_pos =
-              net.node_position(batches[i].first_pickup);
-          for (std::size_t j = 0; j < vehicles.size(); ++j) {
-            if (!SatisfiesCapacity(config, batches[i], vehicles[j])) continue;
-            ++local.mcost_evaluations;
-            if (PairOutOfRange(prune,
-                               net.node_position(vehicles[j].location),
-                               start_pos)) {
-              continue;  // provably Ω — the matrix initialization
-            }
-            graph.cost.set(i, j,
-                           ScratchPairWeight(oracle, config, batches[i],
-                                             vehicles[j], now, bases[j]));
-          }
-        }
-      });
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-  }
-  return graph;
-}
-
-FoodGraph BuildSparsifiedFoodGraph(const DistanceOracle& oracle,
-                                   const Config& config,
-                                   const FoodGraphOptions& options,
-                                   const std::vector<Batch>& batches,
-                                   const std::vector<VehicleSnapshot>& vehicles,
-                                   Seconds now, ThreadPool* pool) {
-  const RoadNetwork& net = oracle.network();
-  FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
-  if (batches.empty() || vehicles.empty()) return graph;
-
-  const int k = DeriveK(config, options, batches.size(), vehicles.size());
-
-  // VΠ: candidate first-pickup nodes and their batches (§IV-C1). Built
-  // serially, read-only during the parallel phase.
-  const StartIndex starts = BuildStartIndex(batches);
-  if (starts.empty()) return graph;
-
-  const int slot = HourSlot(now);
-  const Seconds max_beta = net.MaxEdgeTime(slot);
-  const double gamma = options.angular ? config.gamma : 1.0;
-  const PruneContext prune =
-      BuildPruneContext(oracle, config, slot, starts.nodes);
-
-  // Per-vehicle best-first search (Alg. 2 lines 2–20). Vehicle j's search is
-  // independent of every other vehicle and writes only column j, so vehicles
-  // are sharded across the pool; scratch arrays are per-shard.
-  using QueueEntry = std::pair<double, NodeId>;  // (α-distance, node)
-  auto search_vehicle = [&](std::size_t j, SearchScratch& scratch,
-                            ShardCounters& local) {
-    std::vector<double>& alpha_dist = scratch.alpha_dist;
-    std::vector<Seconds>& beta_dist = scratch.beta_dist;
-    std::vector<bool>& visited = scratch.visited;
-    const VehicleSnapshot& vehicle = vehicles[j];
-    const NodeId source = vehicle.location;
-    const LatLon& source_pos = net.node_position(source);
-    const LatLon& dest_pos = net.node_position(vehicle.next_destination);
-
-    std::fill(alpha_dist.begin(), alpha_dist.end(),
-              std::numeric_limits<double>::infinity());
-    std::fill(beta_dist.begin(), beta_dist.end(), kInfiniteTime);
-    std::fill(visited.begin(), visited.end(), false);
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>>
-        queue;
-    alpha_dist[source] = 0.0;
-    beta_dist[source] = 0.0;
-    queue.push({0.0, source});
-
-    LazyBase base;
-    int degree = 0;
-    while (!queue.empty() && degree < k) {
-      const auto [d, u] = queue.top();
-      queue.pop();
-      if (visited[u]) continue;
-      visited[u] = true;
-      ++local.nodes_expanded;
-
-      // Add true edges to every batch whose route starts at u (line 13-15).
-      const auto [row_begin, row_end] = starts.RowsAt(u);
-      for (const std::uint32_t* it = row_begin; it != row_end; ++it) {
-        const std::size_t i = *it;
-        if (degree >= k) break;
-        if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
-        // Beyond the promised first-mile bound no true edge is needed;
-        // β-distance along the search tree is a (close) upper proxy.
-        if (beta_dist[u] > config.max_first_mile) continue;
-        ++local.mcost_evaluations;
-        graph.cost.set(i, j,
-                       ScratchPairWeight(oracle, config, batches[i], vehicle,
-                                         now, base));
-        ++degree;
-      }
-
-      // Expand neighbours with the vehicle-sensitive weight α (Eq. 8).
-      for (EdgeId e : net.OutEdges(u)) {
-        const NodeId v = net.edge_head(e);
-        if (visited[v]) continue;
-        const Seconds beta = net.EdgeTime(e, slot);
-        // Bound exploration by the promised first-mile limit: nodes beyond
-        // it can only yield Ω edges anyway.
-        const Seconds nbeta = beta_dist[u] + beta;
-        if (nbeta > config.max_first_mile) continue;
-        double alpha = gamma * beta / max_beta;
-        if (options.angular) {
-          alpha += (1.0 - gamma) *
-                   AngularDistance(source_pos, dest_pos, net.node_position(v));
-        }
-        const double nd = d + alpha;
-        if (nd < alpha_dist[v]) {
-          alpha_dist[v] = nd;
-          beta_dist[v] = nbeta;
-          queue.push({nd, v});
-        }
-      }
-    }
-    // Batches not discovered keep their Ω initialization (line 19).
-  };
-
-  std::vector<ShardCounters> counters(
-      static_cast<std::size_t>(std::max(ShardCount(pool, vehicles.size()), 1)));
-  ParallelForShards(pool, vehicles.size(),
-                    [&](int shard, std::size_t begin, std::size_t end) {
-                      SearchScratch scratch(net.num_nodes());
-                      ShardCounters& local =
-                          counters[static_cast<std::size_t>(shard)];
-                      for (std::size_t j = begin; j < end; ++j) {
-                        if (VehicleOutOfRange(
-                                prune,
-                                net.node_position(vehicles[j].location))) {
-                          continue;  // whole column provably Ω
-                        }
-                        search_vehicle(j, scratch, local);
-                      }
-                    });
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-    graph.nodes_expanded += c.nodes_expanded;
-  }
-  return graph;
-}
-
-FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
-                         const FoodGraphOptions& options,
-                         const std::vector<Batch>& batches,
-                         const std::vector<VehicleSnapshot>& vehicles,
-                         Seconds now, ThreadPool* pool) {
-  if (options.best_first) {
-    return BuildSparsifiedFoodGraph(oracle, config, options, batches, vehicles,
-                                    now, pool);
-  }
-  return BuildFullFoodGraph(oracle, config, batches, vehicles, now, pool);
-}
-
 FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
                          const FoodGraphOptions& options,
                          const std::vector<Batch>& batches,
                          const std::vector<VehicleSnapshot>& vehicles,
                          Seconds now, ThreadPool* pool, EdgeCache* cache,
                          PhaseProfile* profile) {
-  if (cache == nullptr) {
-    return BuildFoodGraph(oracle, config, options, batches, vehicles, now,
-                          pool);
+  FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
+  if (batches.empty() || vehicles.empty()) return graph;
+  std::optional<EdgeCache> cold;
+  if (cache == nullptr) cache = &cold.emplace();
+
+  const RoadNetwork& net = oracle.network();
+  const int slot = HourSlot(now);
+  std::vector<VehicleCacheEntry*> entries;
+  StartIndex starts;
+  {
+    ScopedPhaseTimer timer(profile, "graph.prepare");
+    if (options.best_first) {
+      entries = cache->BeginWindow(vehicles);
+      starts = BuildStartIndex(batches, net.num_nodes());
+    }
   }
-  if (options.best_first) {
-    return BuildIncrementalSparsified(oracle, config, options, batches,
-                                      vehicles, now, pool, *cache, profile);
+  if (options.best_first && starts.empty()) return graph;
+
+  const BuildContext ctx{
+      .oracle = oracle,
+      .config = config,
+      .batches = batches,
+      .starts = starts,
+      .now = now,
+      .slot = slot,
+      .k = DeriveK(config, options, batches.size(), vehicles.size()),
+      .max_beta = net.MaxEdgeTime(slot),
+      .gamma = options.angular ? config.gamma : 1.0,
+      .angular = options.angular};
+
+  // Vehicles (columns) are sharded: column j is written only by the shard
+  // owning vehicle j, through that shard's memo and scratch.
+  const int shards = std::max(ShardCount(pool, vehicles.size()), 1);
+  cache->EnsureShards(shards);
+  std::vector<ShardCounters> counters(static_cast<std::size_t>(shards));
+  {
+    ScopedPhaseTimer timer(profile, "graph.delta");
+    ParallelForShards(
+        pool, vehicles.size(),
+        [&](int shard, std::size_t begin, std::size_t end) {
+          ShardCounters& local = counters[static_cast<std::size_t>(shard)];
+          DurationMemo& memo = cache->memo_for_shard(shard);
+          if (!options.best_first) {
+            for (std::size_t j = begin; j < end; ++j) {
+              FillFullColumn(ctx, vehicles[j], j, memo, graph, local);
+            }
+            return;
+          }
+          FootprintScratch scratch(net.num_nodes());
+          for (std::size_t j = begin; j < end; ++j) {
+            RunFootprintSearch(ctx, entries[j]->footprint, vehicles[j], j,
+                               memo, scratch, graph, local);
+          }
+        });
   }
-  return BuildIncrementalFull(oracle, config, batches, vehicles, now, pool,
-                              *cache, profile);
+  EdgeCacheStats& stats = cache->stats();
+  for (const ShardCounters& c : counters) {
+    graph.mcost_evaluations += c.mcost_evaluations;
+    graph.nodes_expanded += c.nodes_expanded;
+    stats.footprint_replays += c.footprint_replays;
+    stats.footprint_resumes += c.footprint_resumes;
+    stats.footprint_rebuilds += c.footprint_rebuilds;
+  }
+  return graph;
 }
 
 }  // namespace fm

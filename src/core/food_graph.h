@@ -3,13 +3,14 @@
 // The FOODGRAPH is the weighted bipartite graph between order batches (U1)
 // and vehicles (U2); the edge weight of (π, v) is min(mCost(π, v), Ω), with
 // Ω for pairs violating the Def. 4 capacity constraints or the 45-minute
-// first-mile bound. Two constructions are provided:
+// first-mile bound. One builder, BuildFoodGraph, fills it in one of two
+// ways (FoodGraphOptions::best_first):
 //
-//   * BuildFullFoodGraph — computes every batch×vehicle weight (the vanilla
+//   * full — every capacity-feasible batch×vehicle weight (the vanilla
 //     Kuhn–Munkres baseline of §V; quadratic cost).
-//   * BuildSparsifiedFoodGraph — Algorithm 2: for each vehicle, a best-first
-//     search over the road network visits candidate first-pickup nodes in
-//     ascending order of the vehicle-sensitive edge weight
+//   * sparsified — Algorithm 2: for each vehicle, a best-first search over
+//     the road network visits candidate first-pickup nodes in ascending
+//     order of the vehicle-sensitive edge weight
 //
 //       α(v, e, t) = (1−γ)·adist(v, u′, t) + γ·β(e, t)/max β(·, t)   (Eq. 8)
 //
@@ -17,20 +18,19 @@
 //     rest get Ω. With angular distance disabled the search degenerates to
 //     plain Dijkstra order on normalized β, i.e. Lemma 1's top-k guarantee.
 //
-// Both constructions accept an optional ThreadPool and shard the edge fill
-// (full: over batches/rows; sparsified: over vehicles/columns). Each shard
+// Both fills run through an EdgeCache (core/edge_cache.h): the sparsified
+// search replays and extends the vehicle's recorded search footprint, and
+// every SP leg is answered through the shard's DurationMemo. A caller that
+// keeps the cache across windows saves the repeated work; a caller that
+// passes none gets a cold cache local to the call. The result is the same
+// either way.
+//
+// With a ThreadPool the fill is sharded over vehicles (columns). Each shard
 // writes a disjoint slice of the cost matrix and its own counters, which are
 // reduced in fixed shard order, so the resulting FoodGraph is bit-identical
-// for 1 vs N threads.
-//
-// A third, incremental construction (the 9-argument BuildFoodGraph overload)
-// maintains the graph across windows through an EdgeCache: recorded search
-// footprints are replayed instead of re-run, provably unchanged pair weights
-// are reused, and a geodesic reachability radius prunes vehicles that cannot
-// hold any true edge. It produces a FoodGraph bit-identical to the
-// from-scratch builders — same weights, same mcost_evaluations, same
-// nodes_expanded — for any thread count (enforced by
-// tests/food_graph_incremental_test.cc and bench_incremental_graph).
+// for 1 vs N threads and for a persistent vs a cold cache (enforced by
+// tests/food_graph_test.cc, tests/food_graph_incremental_test.cc and
+// bench_incremental_graph).
 #ifndef FOODMATCH_CORE_FOOD_GRAPH_H_
 #define FOODMATCH_CORE_FOOD_GRAPH_H_
 
@@ -80,68 +80,32 @@ struct FoodGraph {
 bool SatisfiesCapacity(const Config& config, const Batch& batch,
                        const VehicleSnapshot& vehicle);
 
-/// \brief Full quadratic construction (§IV-A).
+/// \brief Builds the FOODGRAPH (full or sparsified per `options`).
 ///
-/// Complexity: O(|batches| · |vehicles|) mCost evaluations, each an optimal
-/// route plan over ≤ MAXO orders. With a pool, rows (batches) are sharded
-/// contiguously; output is bit-identical for any thread count.
+/// Complexity: full — O(|batches| · |vehicles|) mCost evaluations, each an
+/// optimal route plan over ≤ MAXO orders; sparsified — O(|vehicles| ·
+/// (E_k log V_k + k)) where E_k/V_k are the edges/nodes expanded before k
+/// batches are discovered (bounded by the first-mile ball), plus O(k) mCost
+/// evaluations per vehicle, less whatever a persistent cache replays.
+///
+/// `cache` == nullptr means a cold EdgeCache local to this call. A
+/// persistent cache must serve one (oracle, config, options) policy
+/// instance — footprint validity assumes γ, the angular flag and the
+/// first-mile bound never change between calls on the same cache.
+///
+/// When `profile` is non-null, records the leaf phases `graph.prepare`
+/// (cache registration and the start index) and `graph.delta` (the sharded
+/// fill).
+///
 /// Thread-safety: requires `oracle` to be safe for concurrent Duration()
 /// calls (all backends are; warm hub labels first for a lock-free path).
-FoodGraph BuildFullFoodGraph(const DistanceOracle& oracle,
-                             const Config& config,
-                             const std::vector<Batch>& batches,
-                             const std::vector<VehicleSnapshot>& vehicles,
-                             Seconds now, ThreadPool* pool = nullptr);
-
-/// \brief Algorithm 2: best-first sparsified construction.
-///
-/// Complexity: O(|vehicles| · (E_k log V_k + k)) where E_k/V_k are the
-/// edges/nodes expanded before k batches are discovered (bounded by the
-/// first-mile ball), plus O(k) mCost evaluations per vehicle. With a pool,
-/// vehicles (columns) are sharded contiguously; each per-vehicle search is
-/// independent and writes only its own column, so output is bit-identical
-/// for any thread count. `options.best_first` is assumed true by this entry
-/// point.
-FoodGraph BuildSparsifiedFoodGraph(const DistanceOracle& oracle,
-                                   const Config& config,
-                                   const FoodGraphOptions& options,
-                                   const std::vector<Batch>& batches,
-                                   const std::vector<VehicleSnapshot>& vehicles,
-                                   Seconds now, ThreadPool* pool = nullptr);
-
-/// Dispatches on options.best_first.
 FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
                          const FoodGraphOptions& options,
                          const std::vector<Batch>& batches,
                          const std::vector<VehicleSnapshot>& vehicles,
-                         Seconds now, ThreadPool* pool = nullptr);
-
-/// \brief Incremental construction: dispatches on options.best_first and
-/// maintains `cache` across calls.
-///
-/// With cache == nullptr this is exactly the from-scratch dispatcher above.
-/// Otherwise the build reconciles the cache against this window's snapshots
-/// (dropping state for vehicles whose content changed), then fills the
-/// matrix by replaying recorded search footprints, reusing provably valid
-/// pair weights and memoized SP legs, and skipping vehicles outside the
-/// geodesic reachability radius of every candidate first-pickup node.
-///
-/// The result is bit-identical to the from-scratch builders (weights,
-/// mcost_evaluations, nodes_expanded) for any thread count. Requirements:
-/// one cache per (oracle, config, options) policy instance — footprint
-/// validity assumes γ, the angular flag and the first-mile bound never
-/// change between calls on the same cache.
-///
-/// When `profile` is non-null, records the leaf phases `graph.invalidate`
-/// (cache reconciliation), `graph.prune` (start index + radius setup) and
-/// `graph.delta` (the sharded fill); callers then skip the aggregate
-/// `graph.build` phase to avoid double counting.
-FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
-                         const FoodGraphOptions& options,
-                         const std::vector<Batch>& batches,
-                         const std::vector<VehicleSnapshot>& vehicles,
-                         Seconds now, ThreadPool* pool, EdgeCache* cache,
-                         PhaseProfile* profile);
+                         Seconds now, ThreadPool* pool = nullptr,
+                         EdgeCache* cache = nullptr,
+                         PhaseProfile* profile = nullptr);
 
 }  // namespace fm
 

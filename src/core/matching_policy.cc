@@ -18,7 +18,7 @@ MatchingPolicy::MatchingPolicy(const DistanceOracle* oracle,
   const int lanes = ThreadPool::ResolveThreadCount(config_.threads);
   if (lanes > 1) pool_ = std::make_unique<ThreadPool>(lanes);
   if (config_.incremental_graph) {
-    cache_ = std::make_unique<EdgeCache>(oracle_, config_);
+    cache_ = std::make_unique<EdgeCache>();
   }
 }
 
@@ -77,12 +77,6 @@ AssignmentDecision MatchingPolicy::Assign(
   decision.cost_evaluations = graph.mcost_evaluations;
   const auto t2 = Clock::now();
   decision.graph_seconds = elapsed(t1, t2);
-  if (cache_ == nullptr) {
-    // The incremental path records the leaf phases graph.invalidate /
-    // graph.prune / graph.delta instead; recording the aggregate too would
-    // double-count in PhaseProfile::TotalSeconds.
-    decision.profile.Record("graph.build", decision.graph_seconds);
-  }
 
   // Step 3: minimum weight perfect matching (Kuhn–Munkres) — the largest
   // inherently serial phase; the profiler tracks its share as the parallel

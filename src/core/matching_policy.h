@@ -71,18 +71,16 @@ class MatchingPolicy : public AssignmentPolicy {
                             const std::vector<VehicleSnapshot>& vehicles,
                             Seconds now) override;
 
-  // Eager invalidation channel for the incremental FOODGRAPH cache; no-ops
-  // when Config::incremental_graph is off.
-  void OnVehicleChanged(VehicleId vehicle) override {
-    if (cache_ != nullptr) cache_->OnVehicleChanged(vehicle);
-  }
+  // Frees a retired vehicle's cached search footprint; a no-op when
+  // Config::incremental_graph is off.
   void OnVehicleRetired(VehicleId vehicle) override {
     if (cache_ != nullptr) cache_->OnVehicleRetired(vehicle);
   }
 
   const MatchingPolicyOptions& options() const { return options_; }
-  // The incremental FOODGRAPH cache; null when Config::incremental_graph is
-  // off. Exposed for tests and benchmarks (stats inspection).
+  // The FOODGRAPH cache kept across windows; null when
+  // Config::incremental_graph is off. Exposed for tests and benchmarks
+  // (stats inspection).
   const EdgeCache* edge_cache() const { return cache_.get(); }
 
  private:
@@ -93,9 +91,10 @@ class MatchingPolicy : public AssignmentPolicy {
   // Null when running serially. Sharding is deterministic (see
   // common/thread_pool.h), so assignments are identical for any lane count.
   std::unique_ptr<ThreadPool> pool_;
-  // Cross-window incremental FOODGRAPH state (core/edge_cache.h); null when
-  // Config::incremental_graph is off. Never changes results: the incremental
-  // build is bit-identical to the from-scratch one.
+  // Cross-window FOODGRAPH state (core/edge_cache.h); null when
+  // Config::incremental_graph is off, so every window starts from a cold
+  // EdgeCache. Never changes results: a persistent cache is bit-identical
+  // to a cold one.
   std::unique_ptr<EdgeCache> cache_;
 };
 

@@ -53,8 +53,9 @@ AssignmentDecision ReyesPolicy::Assign(
   }
 
   // Full bipartite matching under the haversine distance model.
-  FoodGraph graph =
-      BuildFullFoodGraph(*haversine_, config_, batches, vehicles, now);
+  FoodGraph graph = BuildFoodGraph(*haversine_, config_,
+                                   FoodGraphOptions{.best_first = false},
+                                   batches, vehicles, now);
   decision.cost_evaluations = graph.mcost_evaluations;
   const Assignment matching = SolveAssignment(graph.cost);
 

@@ -6,8 +6,9 @@
 // records already applied — so recovery (durability/recovery.h) loads the
 // latest snapshot and replays only the log suffix behind it. Derived state
 // is deliberately absent: the vehicle index is rebuilt on restore and
-// policy caches (EdgeCache epoch counters and memos) start cold, which is
-// bit-neutral by the incremental-graph equivalence contract.
+// policy caches (the EdgeCache's search footprints and memos) start cold,
+// which is bit-neutral: a cold EdgeCache builds the same FOODGRAPH as a
+// persistent one (core/edge_cache.h).
 //
 // On-disk layout of snap-<shard>-<windows>.snap (little-endian):
 //

@@ -52,7 +52,6 @@
 #include "gen/profiles.h"      // IWYU pragma: export
 #include "gen/workload.h"      // IWYU pragma: export
 #include "geo/geo.h"           // IWYU pragma: export
-#include "graph/contraction_hierarchy.h"  // IWYU pragma: export
 #include "graph/dijkstra.h"    // IWYU pragma: export
 #include "graph/distance_oracle.h"  // IWYU pragma: export
 #include "graph/hub_labels.h"  // IWYU pragma: export

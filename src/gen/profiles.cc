@@ -111,4 +111,13 @@ CityProfile GrubhubProfile(double scale) {
   return p;
 }
 
+std::optional<CityProfile> CityProfileByName(const std::string& name,
+                                             double scale) {
+  if (name == "A") return CityAProfile(scale);
+  if (name == "B") return CityBProfile(scale);
+  if (name == "C") return CityCProfile(scale);
+  if (name == "grubhub") return GrubhubProfile(scale);
+  return std::nullopt;
+}
+
 }  // namespace fm

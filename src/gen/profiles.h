@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/time.h"
@@ -57,6 +58,14 @@ CityProfile CityAProfile(double scale = 40.0);
 CityProfile CityBProfile(double scale = 40.0);
 CityProfile CityCProfile(double scale = 40.0);
 CityProfile GrubhubProfile(double scale = 4.0);
+
+// The names CityProfileByName accepts, as a CLI usage string.
+inline constexpr const char* kCityProfileNames = "A|B|C|grubhub";
+
+// The profile named "A", "B", "C" or "grubhub" at `scale`; std::nullopt for
+// any other name.
+std::optional<CityProfile> CityProfileByName(const std::string& name,
+                                             double scale);
 
 }  // namespace fm
 

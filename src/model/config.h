@@ -55,12 +55,12 @@ struct Config {
   // producer thread (warms oracle caches; never changes results — see
   // core/intake_stage.h).
   bool intake_prestage = true;
-  // Maintain the FOODGRAPH incrementally across windows (core/edge_cache.h):
-  // reuse per-(vehicle, batch) edge evaluations whose inputs provably did
-  // not change, geo-prune unreachable vehicles, and memoize SP legs. Results
-  // are bit-identical with the from-scratch build (enforced by
-  // food_graph_incremental_test and bench_incremental_graph); this knob is
-  // the escape hatch (`--no-incremental` in fmsim/fmserve).
+  // Keep the FOODGRAPH's EdgeCache (core/edge_cache.h) across windows, so
+  // recorded search footprints replay and memoized SP legs carry over.
+  // When false every window starts from a cold EdgeCache. Results are
+  // bit-identical either way (enforced by food_graph_incremental_test and
+  // bench_incremental_graph); this knob is the escape hatch
+  // (`--no-incremental` in fmsim/fmserve).
   bool incremental_graph = true;
   // With durability enabled (a WAL directory configured — see
   // durability/recovery.h), write an engine-state snapshot every this many

@@ -111,16 +111,6 @@ void ShardedDispatchEngine::RegisterMetrics() {
     return total;
   };
   reg.RegisterCallbackCounter(
-      "graph.edge_cache.pair_hits", "FOODGRAPH pair weights reused",
-      [sum_edge_stats] { return sum_edge_stats(&EdgeCacheStats::pair_hits); },
-      this);
-  reg.RegisterCallbackCounter(
-      "graph.edge_cache.pair_misses", "FOODGRAPH pair weights computed",
-      [sum_edge_stats] {
-        return sum_edge_stats(&EdgeCacheStats::pair_misses);
-      },
-      this);
-  reg.RegisterCallbackCounter(
       "graph.edge_cache.footprint_replays",
       "best-first searches served from recorded footprints",
       [sum_edge_stats] {

@@ -608,9 +608,8 @@ constexpr std::uint64_t kGoldenKM = 0x9f48a05412a5fe5eull;
 constexpr std::uint64_t kGoldenReyes = 0x97b2e2a84ff4939full;
 
 TEST_F(EngineEquivalenceTest, FoodMatchMatchesSeedPathAt1AndNThreads) {
-  // The golden must hold with the incremental FOODGRAPH maintenance both off
-  // (the seed path's from-scratch build) and on (the EdgeCache path must be
-  // bit-identical to it), at 1 and N threads.
+  // The golden must hold with the FOODGRAPH's EdgeCache both cold every
+  // window and kept across windows, at 1 and N threads.
   for (bool incremental : {false, true}) {
     for (int threads : {1, 4}) {
       Config config = ConfigWithThreads(threads);
@@ -631,15 +630,24 @@ TEST_F(EngineEquivalenceTest, BaselinePoliciesMatchSeedPath) {
             kGoldenGreedy);
   ReyesPolicy reyes(&scenario_.network, config);
   EXPECT_EQ(RunFingerprint(scenario_, oracle_, &reyes, config), kGoldenReyes);
-  // KM exercises the full (quadratic) builder; gate it with the incremental
-  // path both off and on as well.
+  // KM exercises the full (quadratic) fill; gate it with the EdgeCache
+  // cold and persistent, at 1 and N threads, as well.
   for (bool incremental : {false, true}) {
-    Config km_config = config;
-    km_config.incremental_graph = incremental;
-    MatchingPolicy km(&oracle_, km_config, MatchingPolicyOptions::VanillaKM());
-    EXPECT_EQ(RunFingerprint(scenario_, oracle_, &km, km_config), kGoldenKM)
-        << "incremental=" << incremental;
+    for (int threads : {1, 4}) {
+      Config km_config = ConfigWithThreads(threads);
+      km_config.incremental_graph = incremental;
+      MatchingPolicy km(&oracle_, km_config,
+                        MatchingPolicyOptions::VanillaKM());
+      EXPECT_EQ(RunFingerprint(scenario_, oracle_, &km, km_config), kGoldenKM)
+          << "threads=" << threads << " incremental=" << incremental;
+    }
   }
+  // Reyes fills its graph serially; its golden holds at N configured
+  // threads too.
+  const Config reyes_config = ConfigWithThreads(4);
+  ReyesPolicy reyes4(&scenario_.network, reyes_config);
+  EXPECT_EQ(RunFingerprint(scenario_, oracle_, &reyes4, reyes_config),
+            kGoldenReyes);
 }
 
 TEST(DispatchEngineDeterminismTest, WindowResultsIdenticalFor1AndNThreads) {

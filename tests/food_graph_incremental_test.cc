@@ -1,11 +1,12 @@
-// Differential window-replay harness for the incremental FOODGRAPH
-// maintenance (core/edge_cache.h): randomized multi-window scenarios with
-// interleaved order arrivals, vehicle movement, assignments and retirements
-// must yield bit-for-bit the same FoodGraph (weights, mcost_evaluations,
-// nodes_expanded) and the same engine WindowResults as a from-scratch
-// rebuild, at 1 and N threads, for both the sparsified (FoodMatch) and full
-// (KM) constructions — plus property tests for the epoch/invalidation rules
-// of the EdgeCache itself.
+// Differential window-replay harness for the EdgeCache (core/edge_cache.h)
+// that BuildFoodGraph fills the FOODGRAPH through: randomized multi-window
+// scenarios with interleaved order arrivals, vehicle movement, assignments
+// and retirements must yield bit-for-bit the same FoodGraph (weights,
+// mcost_evaluations, nodes_expanded) and the same engine WindowResults
+// with a cache kept across windows as with a cold cache every window, at 1
+// and N threads, for both the sparsified (FoodMatch) and full (KM)
+// constructions and for the road-network and haversine oracles — plus
+// property tests for footprint resume and vehicle retirement.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -66,19 +67,18 @@ void ExpectGraphsEqual(const FoodGraph& got, const FoodGraph& want,
 // Builder-level differential replay: randomized multi-window scenarios.
 // ---------------------------------------------------------------------------
 
-// Drives `windows` accumulation windows over one persistent fleet: each
-// window mutates random vehicles (movement, pickups, deliveries, strips,
+// Drives seven accumulation windows over one persistent fleet: each window
+// mutates random vehicles (movement, pickups, deliveries, strips,
 // retirement + id reuse), draws a fresh batch set, and builds the FOODGRAPH
-// three ways — incremental serial, incremental 4-lane, from-scratch — which
-// must agree bitwise. Hook delivery is itself randomized: roughly half the
-// mutations rely on the BeginWindow content-key backstop instead of
-// OnVehicleChanged, so both invalidation channels are exercised.
+// three ways — persistent cache serial, persistent cache 4-lane, cold
+// cache — which must agree bitwise.
 void RunDifferentialScenario(std::uint64_t seed, bool time_varying,
-                             bool best_first) {
+                             bool best_first,
+                             OracleBackend backend = OracleBackend::kDijkstra) {
   Rng rng(seed);
   RoadNetwork net =
       testing::RandomConnectedNetwork(rng, 60, 140, time_varying);
-  DistanceOracle oracle(&net, OracleBackend::kDijkstra);
+  DistanceOracle oracle(&net, backend);
   Config config;
   config.threads = 1;
   FoodGraphOptions options;
@@ -86,10 +86,10 @@ void RunDifferentialScenario(std::uint64_t seed, bool time_varying,
   options.angular = best_first;
   options.fixed_k = 5;
 
-  // Two independent caches so serial and 4-lane incremental paths evolve
-  // their own state; determinism requires them to stay identical anyway.
-  EdgeCache cache_serial(&oracle, config);
-  EdgeCache cache_pooled(&oracle, config);
+  // Two independent caches so the serial and 4-lane builds evolve their own
+  // state; determinism requires them to stay identical anyway.
+  EdgeCache cache_serial;
+  EdgeCache cache_pooled;
   ThreadPool pool(4);
 
   const auto rand_node = [&] {
@@ -106,48 +106,37 @@ void RunDifferentialScenario(std::uint64_t seed, bool time_varying,
   for (int window = 0; window < 7; ++window) {
     const Seconds now = 12 * 3600.0 + 180.0 * window;
 
-    // Mutate the fleet; fire hooks for ~half the mutations only.
+    // Mutate the fleet.
     for (VehicleSnapshot& v : vehicles) {
-      const bool fire_hooks = rng.UniformInt(2) == 0;
-      bool changed = false;
       switch (rng.UniformInt(6)) {
         case 0:  // movement commit
           v.location = rand_node();
           v.next_destination = rand_node();
-          changed = true;
           break;
         case 1:  // assignment
           if (v.TotalAssignedOrders() < config.max_orders_per_vehicle) {
             v.unpicked.push_back(
                 MakeOrder(next_order++, rand_node(), rand_node(), now));
-            changed = true;
           }
           break;
         case 2:  // pickup
           if (!v.unpicked.empty()) {
             v.picked.push_back(v.unpicked.back());
             v.unpicked.pop_back();
-            changed = true;
           }
           break;
         case 3:  // delivery
           if (!v.picked.empty()) {
             v.picked.pop_back();
-            changed = true;
           }
           break;
         case 4:  // reshuffle strip
           if (!v.unpicked.empty()) {
             v.unpicked.clear();
-            changed = true;
           }
           break;
         default:  // untouched
           break;
-      }
-      if (changed && fire_hooks) {
-        cache_serial.OnVehicleChanged(v.id);
-        cache_pooled.OnVehicleChanged(v.id);
       }
     }
 
@@ -184,20 +173,19 @@ void RunDifferentialScenario(std::uint64_t seed, bool time_varying,
       }
     }
 
-    const FoodGraph scratch = BuildFoodGraph(oracle, config, options, batches,
-                                             vehicles, now, nullptr);
-    const FoodGraph inc_serial =
+    const FoodGraph cold =
+        BuildFoodGraph(oracle, config, options, batches, vehicles, now);
+    const FoodGraph kept_serial =
         BuildFoodGraph(oracle, config, options, batches, vehicles, now,
-                       nullptr, &cache_serial, nullptr);
-    const FoodGraph inc_pooled =
-        BuildFoodGraph(oracle, config, options, batches, vehicles, now, &pool,
-                       &cache_pooled, nullptr);
-    ExpectGraphsEqual(inc_serial, scratch, "incremental-serial", window);
-    ExpectGraphsEqual(inc_pooled, scratch, "incremental-4lane", window);
+                       nullptr, &cache_serial);
+    const FoodGraph kept_pooled = BuildFoodGraph(
+        oracle, config, options, batches, vehicles, now, &pool, &cache_pooled);
+    ExpectGraphsEqual(kept_serial, cold, "persistent-serial", window);
+    ExpectGraphsEqual(kept_pooled, cold, "persistent-4lane", window);
   }
 }
 
-TEST(FoodGraphIncrementalTest, SparsifiedMatchesScratchOnRandomWindows) {
+TEST(FoodGraphIncrementalTest, SparsifiedMatchesColdCacheOnRandomWindows) {
   for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
     for (bool time_varying : {false, true}) {
       RunDifferentialScenario(seed, time_varying, /*best_first=*/true);
@@ -205,11 +193,20 @@ TEST(FoodGraphIncrementalTest, SparsifiedMatchesScratchOnRandomWindows) {
   }
 }
 
-TEST(FoodGraphIncrementalTest, FullGraphMatchesScratchOnRandomWindows) {
+TEST(FoodGraphIncrementalTest, FullGraphMatchesColdCacheOnRandomWindows) {
   for (std::uint64_t seed : {21ull, 22ull}) {
     for (bool time_varying : {false, true}) {
       RunDifferentialScenario(seed, time_varying, /*best_first=*/false);
     }
+  }
+}
+
+// The haversine backend (GrubHub, §V-C) answers every query independently
+// of the hour slot, unlike the road-network oracles above.
+TEST(FoodGraphIncrementalTest, HaversineMatchesColdCacheOnRandomWindows) {
+  for (bool best_first : {true, false}) {
+    RunDifferentialScenario(31, /*time_varying=*/false, best_first,
+                            OracleBackend::kHaversine);
   }
 }
 
@@ -334,12 +331,12 @@ TEST(FoodGraphIncrementalTest, EngineWindowsIdenticalWithIncrementalOnOff) {
     ExpectWindowResultsEqual(run(true, 4, policy_options), baseline,
                              "incremental threads=4");
     ExpectWindowResultsEqual(run(false, 4, policy_options), baseline,
-                             "scratch threads=4");
+                             "cold threads=4");
   }
 }
 
 // ---------------------------------------------------------------------------
-// EdgeCache property tests: epoch/invalidation semantics.
+// EdgeCache property tests: footprint resume and retirement.
 // ---------------------------------------------------------------------------
 
 class EdgeCachePropertyTest : public ::testing::Test {
@@ -352,13 +349,13 @@ class EdgeCachePropertyTest : public ::testing::Test {
     options_.fixed_k = 4;
   }
 
-  std::vector<Batch> SomeBatches(Seconds now, Seconds prep = 0.0) {
+  std::vector<Batch> SomeBatches(Seconds now) {
     std::vector<Batch> batches;
     for (int i = 0; i < 4; ++i) {
       batches.push_back(MakeSingletonBatch(
           oracle_,
           MakeOrder(static_cast<OrderId>(i), static_cast<NodeId>(4 + 6 * i),
-                    static_cast<NodeId>(5 + 6 * i), now, prep),
+                    static_cast<NodeId>(5 + 6 * i), now),
           now));
     }
     return batches;
@@ -369,7 +366,7 @@ class EdgeCachePropertyTest : public ::testing::Test {
                              const std::vector<VehicleSnapshot>& vehicles,
                              Seconds now) {
     return BuildFoodGraph(oracle_, config_, options_, batches, vehicles, now,
-                          nullptr, &cache, nullptr);
+                          nullptr, &cache);
   }
 
   RoadNetwork net_;
@@ -378,68 +375,8 @@ class EdgeCachePropertyTest : public ::testing::Test {
   FoodGraphOptions options_;
 };
 
-TEST_F(EdgeCachePropertyTest, UnchangedWindowIsServedEntirelyFromCache) {
-  EdgeCache cache(&oracle_, config_);
-  const auto batches = SomeBatches(1000.0);
-  std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 0, 0),
-                                           MakeVehicle(1, 12, 12)};
-  const FoodGraph first = BuildIncremental(cache, batches, vehicles, 1000.0);
-  const std::uint64_t misses_after_first = cache.stats().pair_misses;
-  EXPECT_EQ(cache.stats().pair_hits, 0u);
-  EXPECT_GT(misses_after_first, 0u);
-
-  // Nothing changed: the second build reuses every pair (now == now0) and
-  // replays every footprint; logical counters still match a scratch build.
-  const FoodGraph second = BuildIncremental(cache, batches, vehicles, 1000.0);
-  EXPECT_EQ(cache.stats().pair_misses, misses_after_first);
-  EXPECT_EQ(cache.stats().pair_hits, second.mcost_evaluations);
-  EXPECT_EQ(cache.stats().footprint_replays, 2u);
-  EXPECT_EQ(cache.stats().footprint_rebuilds, 2u);  // the first build
-  const FoodGraph scratch = BuildFoodGraph(oracle_, config_, options_,
-                                           batches, vehicles, 1000.0, nullptr);
-  ExpectGraphsEqual(second, scratch, "second-build", 0);
-}
-
-TEST_F(EdgeCachePropertyTest, OnVehicleChangedDropsPairsKeepsFootprint) {
-  EdgeCache cache(&oracle_, config_);
-  const auto batches = SomeBatches(1000.0);
-  std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 0, 0)};
-  BuildIncremental(cache, batches, vehicles, 1000.0);
-  const std::uint64_t misses_after_first = cache.stats().pair_misses;
-
-  // The hook: pair entries for the vehicle are dropped, so the next build
-  // recomputes them — but the footprint (keyed by location/dest/slot, both
-  // unchanged) is still replayed, not rebuilt.
-  cache.OnVehicleChanged(0);
-  BuildIncremental(cache, batches, vehicles, 1000.0);
-  EXPECT_GT(cache.stats().pair_misses, misses_after_first);
-  EXPECT_EQ(cache.stats().pair_hits, 0u);
-  EXPECT_EQ(cache.stats().footprint_rebuilds, 1u);
-  EXPECT_EQ(cache.stats().footprint_replays, 1u);
-  EXPECT_EQ(cache.stats().epoch_bumps, 1u);
-}
-
-TEST_F(EdgeCachePropertyTest, ContentKeyBackstopCatchesUnhookedChanges) {
-  EdgeCache cache(&oracle_, config_);
-  const auto batches = SomeBatches(1000.0);
-  std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 0, 0)};
-  BuildIncremental(cache, batches, vehicles, 1000.0);
-  const std::uint64_t misses_after_first = cache.stats().pair_misses;
-
-  // Mutate the vehicle WITHOUT firing any hook: BeginWindow's content-key
-  // compare must invalidate the pair list on its own.
-  vehicles[0].picked.push_back(MakeOrder(99, 1, 2, 900.0));
-  const FoodGraph second = BuildIncremental(cache, batches, vehicles, 1000.0);
-  EXPECT_EQ(cache.stats().invalidated_vehicles, 1u);
-  EXPECT_EQ(cache.stats().pair_hits, 0u);
-  EXPECT_GT(cache.stats().pair_misses, misses_after_first);
-  const FoodGraph scratch = BuildFoodGraph(oracle_, config_, options_,
-                                           batches, vehicles, 1000.0, nullptr);
-  ExpectGraphsEqual(second, scratch, "backstop", 0);
-}
-
 TEST_F(EdgeCachePropertyTest, RetirementErasesEntryAndIdReuseIsFresh) {
-  EdgeCache cache(&oracle_, config_);
+  EdgeCache cache;
   const auto batches = SomeBatches(1000.0);
   std::vector<VehicleSnapshot> vehicles = {MakeVehicle(7, 0, 0)};
   BuildIncremental(cache, batches, vehicles, 1000.0);
@@ -447,106 +384,40 @@ TEST_F(EdgeCachePropertyTest, RetirementErasesEntryAndIdReuseIsFresh) {
 
   cache.OnVehicleRetired(7);
   EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.stats().retirements, 1u);
 
-  // A new vehicle reusing id 7 at a different node: nothing may be reused.
+  // A new vehicle reusing id 7 at a different node searches afresh.
   vehicles[0] = MakeVehicle(7, 12, 12);
   const FoodGraph fresh = BuildIncremental(cache, batches, vehicles, 1000.0);
-  EXPECT_EQ(cache.stats().pair_hits, 0u);
-  const FoodGraph scratch = BuildFoodGraph(oracle_, config_, options_,
-                                           batches, vehicles, 1000.0, nullptr);
-  ExpectGraphsEqual(fresh, scratch, "id-reuse", 0);
+  EXPECT_EQ(cache.stats().footprint_rebuilds, 2u);
+  EXPECT_EQ(cache.stats().footprint_replays, 0u);
+  const FoodGraph cold =
+      BuildFoodGraph(oracle_, config_, options_, batches, vehicles, 1000.0);
+  ExpectGraphsEqual(fresh, cold, "id-reuse", 0);
 }
 
 TEST_F(EdgeCachePropertyTest, DeeperKResumesTheRecordedSearch) {
-  EdgeCache cache(&oracle_, config_);
+  EdgeCache cache;
   const auto batches = SomeBatches(1000.0);
   std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 0, 0)};
   FoodGraphOptions shallow = options_;
   shallow.fixed_k = 1;
   BuildFoodGraph(oracle_, config_, shallow, batches, vehicles, 1000.0,
-                 nullptr, &cache, nullptr);
+                 nullptr, &cache);
   EXPECT_EQ(cache.stats().footprint_rebuilds, 1u);
 
   // Same vehicle, deeper degree bound: the recorded prefix replays and the
   // live frontier extends — no rebuild — and the result still matches a
-  // scratch build at the deeper k.
+  // cold-cache build at the deeper k.
   FoodGraphOptions deep = options_;
   deep.fixed_k = 4;
-  const FoodGraph resumed = BuildFoodGraph(
-      oracle_, config_, deep, batches, vehicles, 1000.0, nullptr, &cache,
-      nullptr);
+  const FoodGraph resumed = BuildFoodGraph(oracle_, config_, deep, batches,
+                                           vehicles, 1000.0, nullptr, &cache);
   EXPECT_EQ(cache.stats().footprint_rebuilds, 1u);
   EXPECT_EQ(cache.stats().footprint_replays, 1u);
   EXPECT_GE(cache.stats().footprint_resumes, 1u);
-  const FoodGraph scratch = BuildFoodGraph(oracle_, config_, deep, batches,
-                                           vehicles, 1000.0, nullptr);
-  ExpectGraphsEqual(resumed, scratch, "resume", 0);
-}
-
-TEST_F(EdgeCachePropertyTest, TimeInvariantNetworkReusesAcrossWindows) {
-  // The haversine backend is time-invariant, so an empty vehicle's
-  // ready-anchored pair weights carry across decision times.
-  DistanceOracle hav(&net_, OracleBackend::kHaversine);
-  EdgeCache cache(&hav, config_);
-  EXPECT_TRUE(cache.time_invariant());
-  // Long prep: the optimal plan waits on food readiness at the pickup.
-  std::vector<Batch> batches;
-  for (int i = 0; i < 3; ++i) {
-    batches.push_back(MakeSingletonBatch(
-        hav,
-        MakeOrder(static_cast<OrderId>(i), static_cast<NodeId>(4 + 6 * i),
-                  static_cast<NodeId>(5 + 6 * i), 1000.0, /*prep=*/1800.0),
-        1000.0));
-  }
-  std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 0, 0),
-                                           MakeVehicle(1, 10, 10)};
-  BuildFoodGraph(hav, config_, options_, batches, vehicles, 1000.0, nullptr,
-                 &cache, nullptr);
-  const std::uint64_t misses_after_first = cache.stats().pair_misses;
-
-  // One window later: everything still provably valid — zero new misses,
-  // and the result matches a scratch build at the new decision time.
-  const FoodGraph second = BuildFoodGraph(
-      hav, config_, options_, batches, vehicles, 1060.0, nullptr, &cache,
-      nullptr);
-  EXPECT_EQ(cache.stats().pair_misses, misses_after_first);
-  EXPECT_GT(cache.stats().pair_hits, 0u);
-  const FoodGraph scratch = BuildFoodGraph(hav, config_, options_, batches,
-                                           vehicles, 1060.0, nullptr);
-  ExpectGraphsEqual(second, scratch, "cross-window", 0);
-}
-
-TEST_F(EdgeCachePropertyTest, TimeVaryingNetworkNeverReusesAcrossWindows) {
-  Rng rng(33);
-  RoadNetwork tv_net =
-      testing::RandomConnectedNetwork(rng, 40, 80, /*time_varying=*/true);
-  DistanceOracle tv_oracle(&tv_net, OracleBackend::kDijkstra);
-  EdgeCache cache(&tv_oracle, config_);
-  EXPECT_FALSE(cache.time_invariant());
-
-  std::vector<Batch> batches;
-  for (int i = 0; i < 3; ++i) {
-    batches.push_back(MakeSingletonBatch(
-        tv_oracle,
-        MakeOrder(static_cast<OrderId>(i),
-                  static_cast<NodeId>(rng.UniformInt(tv_net.num_nodes())),
-                  static_cast<NodeId>(rng.UniformInt(tv_net.num_nodes())),
-                  1000.0, 1800.0),
-        1000.0));
-  }
-  std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 0, 0)};
-  BuildFoodGraph(tv_oracle, config_, options_, batches, vehicles, 1000.0,
-                 nullptr, &cache, nullptr);
-
-  // Different decision time on a time-varying network: no pair reuse.
-  const FoodGraph second = BuildFoodGraph(
-      tv_oracle, config_, options_, batches, vehicles, 1060.0, nullptr,
-      &cache, nullptr);
-  EXPECT_EQ(cache.stats().pair_hits, 0u);
-  const FoodGraph scratch = BuildFoodGraph(tv_oracle, config_, options_,
-                                           batches, vehicles, 1060.0, nullptr);
-  ExpectGraphsEqual(second, scratch, "time-varying", 0);
+  const FoodGraph cold =
+      BuildFoodGraph(oracle_, config_, deep, batches, vehicles, 1000.0);
+  ExpectGraphsEqual(resumed, cold, "resume", 0);
 }
 
 }  // namespace

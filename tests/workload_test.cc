@@ -1,5 +1,6 @@
 #include <cmath>
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -202,6 +203,26 @@ TEST(ProfilesTest, TableIIRelativeOrdering) {
   EXPECT_GT(b.prep_mean, a.prep_mean);
   EXPECT_TRUE(g.haversine_only);
   EXPECT_FALSE(b.haversine_only);
+}
+
+TEST(ProfilesTest, CityProfileByNameResolvesKnownNamesOnly) {
+  const struct {
+    const char* name;
+    CityProfile want;
+  } known[] = {{"A", CityAProfile(80.0)},
+               {"B", CityBProfile(80.0)},
+               {"C", CityCProfile(80.0)},
+               {"grubhub", GrubhubProfile(80.0)}};
+  for (const auto& [name, want] : known) {
+    const std::optional<CityProfile> got = CityProfileByName(name, 80.0);
+    ASSERT_TRUE(got.has_value()) << name;
+    EXPECT_EQ(got->name, want.name);
+    EXPECT_EQ(got->orders_per_day, want.orders_per_day);
+    EXPECT_EQ(got->num_vehicles, want.num_vehicles);
+  }
+  for (const char* unknown : {"Z", "a", "", "GrubHub", "B "}) {
+    EXPECT_FALSE(CityProfileByName(unknown, 80.0).has_value()) << unknown;
+  }
 }
 
 }  // namespace

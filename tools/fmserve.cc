@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,8 +82,7 @@ void PrintUsage() {
       "  --intake-capacity=N    per-stage staging-ring capacity (default\n"
       "                         4096; full rings backpressure, never drop)\n"
       "  --no-prestage          disable producer-side order pre-routing\n"
-      "  --no-incremental       rebuild the FOODGRAPH from scratch every\n"
-      "                         window (disable the EdgeCache)\n"
+      "  --no-incremental       start every window from a cold EdgeCache\n"
       "  --speedup=S            replay pacing: S event-seconds per\n"
       "                         wall-second (1 = real time; default 0 =\n"
       "                         flat out, the throughput mode)\n"
@@ -180,10 +180,14 @@ int Main(int argc, char** argv) {
 
   const std::string city = flags.GetString("city", "A");
   const double scale = flags.GetDouble("scale", 80.0);
-  CityProfile profile = city == "B"          ? CityBProfile(scale)
-                        : city == "C"        ? CityCProfile(scale)
-                        : city == "grubhub"  ? GrubhubProfile(scale)
-                                             : CityAProfile(scale);
+  const std::optional<CityProfile> city_profile =
+      CityProfileByName(city, scale);
+  if (!city_profile.has_value()) {
+    std::fprintf(stderr, "unknown --city=%s (cities: %s)\n", city.c_str(),
+                 kCityProfileNames);
+    return 2;
+  }
+  const CityProfile& profile = *city_profile;
 
   const std::string scenario_name = flags.GetString("scenario");
   if (!scenario_name.empty() && !IsStressScenario(scenario_name)) {

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -140,12 +141,11 @@ void PrintUsage() {
       "                         (default 4096)\n"
       "  --no-prestage          disable producer-side order pre-routing\n"
       "                         with --stream\n"
-      "  --no-incremental       rebuild the FOODGRAPH from scratch every\n"
-      "                         window (disable the EdgeCache; results are\n"
-      "                         bit-identical either way)\n"
+      "  --no-incremental       start every window from a cold EdgeCache\n"
+      "                         (results are bit-identical either way)\n"
       "  --verify-no-incremental\n"
-      "                         run the day twice — incremental and\n"
-      "                         from-scratch — and fail unless the results\n"
+      "                         run the day twice — persistent and cold\n"
+      "                         EdgeCache — and fail unless the results\n"
       "                         are bit-identical (single engine only)\n"
       "  --wal-dir=PATH         per-shard write-ahead log + snapshots under\n"
       "                         PATH (forces the sharded core; K=1 is\n"
@@ -240,10 +240,14 @@ int RunScenario(const FlagParser& flags) {
 
   const std::string city = flags.GetString("city", "A");
   const double scale = flags.GetDouble("scale", 80.0);
-  const CityProfile profile = city == "B"         ? CityBProfile(scale)
-                              : city == "C"       ? CityCProfile(scale)
-                              : city == "grubhub" ? GrubhubProfile(scale)
-                                                  : CityAProfile(scale);
+  const std::optional<CityProfile> city_profile =
+      CityProfileByName(city, scale);
+  if (!city_profile.has_value()) {
+    std::fprintf(stderr, "unknown --city=%s (cities: %s)\n", city.c_str(),
+                 kCityProfileNames);
+    return 2;
+  }
+  const CityProfile& profile = *city_profile;
 
   StressGenOptions gen_options;
   gen_options.seed = static_cast<std::uint64_t>(flags.GetInt("stress-seed", 0));
@@ -412,10 +416,14 @@ int Main(int argc, char** argv) {
 
   const std::string city = flags.GetString("city", "A");
   const double scale = flags.GetDouble("scale", 80.0);
-  CityProfile profile = city == "B"          ? CityBProfile(scale)
-                        : city == "C"        ? CityCProfile(scale)
-                        : city == "grubhub"  ? GrubhubProfile(scale)
-                                             : CityAProfile(scale);
+  const std::optional<CityProfile> city_profile =
+      CityProfileByName(city, scale);
+  if (!city_profile.has_value()) {
+    std::fprintf(stderr, "unknown --city=%s (cities: %s)\n", city.c_str(),
+                 kCityProfileNames);
+    return 2;
+  }
+  const CityProfile& profile = *city_profile;
 
   WorkloadOptions options;
   options.start_time = flags.GetDouble("start", 10.0) * 3600.0;
@@ -450,10 +458,11 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  // --verify-no-incremental reruns the whole day with the incremental
-  // FOODGRAPH maintenance toggled and insists on a bit-identical
-  // SimulationResult. Only meaningful on the classic single-engine path:
-  // sharded/streaming runs are gated by their own equivalence machinery.
+  // --verify-no-incremental reruns the whole day with the persistent
+  // EdgeCache toggled (on: kept across windows; off: cold every window) and
+  // insists on a bit-identical SimulationResult. Only meaningful on the
+  // classic single-engine path: sharded/streaming runs are gated by their
+  // own equivalence machinery.
   const bool verify_no_incremental = flags.HasFlag("verify-no-incremental");
   if (verify_no_incremental &&
       (config.shards > 1 || flags.HasFlag("stream"))) {
@@ -669,7 +678,7 @@ int Main(int argc, char** argv) {
                    static_cast<unsigned long long>(want));
       return 1;
     }
-    std::printf("verify: incremental == from-scratch (%016llx)\n",
+    std::printf("verify: persistent == cold EdgeCache (%016llx)\n",
                 static_cast<unsigned long long>(got));
   }
 
